@@ -16,19 +16,36 @@ epoch k+1 while the workers execute epoch k).  The speedup bar is
 asserted only when the host exposes at least 4 CPUs — on fewer cores
 the spawn workers time-slice one core and the sweep still proves
 bit-identity, but a parallel speedup is physically unavailable.
+
+A second probe splits one worker's start-up, in fresh interpreters,
+into importing the package and building the shard from its
+``WorkerInit``: the share of each process-backend row that is boot
+rather than simulation.
 """
 
 import os
+import pathlib
+import pickle
+import statistics
+import subprocess
+import sys
 import time
 
 from conftest import full_scale, run_once
 
+import repro
 from repro.analysis import format_table
 from repro.cluster.cluster import ClusterConfig
 from repro.cluster.faults import random_fault_schedule
 from repro.hw.specs import p3_8xlarge
 from repro.serving.workload import PoissonWorkload
 from repro.shard import ChaosEvent, ShardConfig, ShardedReplay
+
+
+def available_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def scenario():
@@ -99,8 +116,7 @@ def test_ablation_sharded_replay(benchmark, emit):
                      report.ledger.dropped])
     speedups = {(s, b, p): base_wall / w
                 for s, b, p, w, _ in results}
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
-        else (os.cpu_count() or 1)
+    cpus = available_cpus()
     blocks = [
         format_table(
             ["configuration", "wall (s)", "speedup", "epochs",
@@ -153,3 +169,42 @@ def test_ablation_sharded_replay(benchmark, emit):
         # the workers, so the bar applies to the full-size run on
         # adequate hardware only.
         assert speedups[(4, "process", True)] > 3.0
+
+
+#: Runs in a fresh interpreter, as a spawned worker does: import the
+#: worker module, then build the shard from a pickled ``WorkerInit``.
+_STARTUP_PROBE = """
+import sys, time
+start = time.perf_counter()
+import pickle, repro.shard.worker
+imported = time.perf_counter()
+init = pickle.load(sys.stdin.buffer)
+built = time.perf_counter()
+repro.shard.worker.ShardWorker(init)
+print(imported - start, time.perf_counter() - built)
+"""
+
+
+def test_worker_startup_split(emit):
+    config, catalog, _requests, faults = scenario()
+    replay = ShardedReplay(p3_8xlarge(), config, ShardConfig(
+        num_shards=2, backend="process", epoch_length=0.250))
+    replay.deploy(catalog)
+    payload = pickle.dumps(replay._worker_inits(faults)[0])
+    src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    samples = []
+    for _ in range(5):
+        result = subprocess.run(
+            [sys.executable, "-c", _STARTUP_PROBE], input=payload,
+            capture_output=True, env=env, timeout=120, check=True)
+        samples.append([float(x) for x in result.stdout.split()])
+    imported = statistics.median(s[0] for s in samples)
+    built = statistics.median(s[1] for s in samples)
+    cpus = available_cpus()
+    emit("ablation_sharded_startup",
+         f"worker start-up, median of 5 fresh interpreters "
+         f"({config.num_machines // 2}-machine shard, {cpus} CPU(s) "
+         f"available): import repro.shard.worker {imported:.3f}s, "
+         f"ShardWorker(init) {built:.3f}s")

@@ -14,8 +14,6 @@ are bridged by NVLink (required for merging partitions).
 
 from __future__ import annotations
 
-import networkx
-
 from repro.errors import TopologyError
 from repro.hw.host import HostMemory
 from repro.hw.memory import DEFAULT_WORKSPACE_BYTES, GPUMemory
@@ -73,8 +71,6 @@ class Machine:
             Link(f"switch{s}.uplink", spec.pcie_uplink_bandwidth)
             for s in range(len(spec.pcie_switch_groups))
         ]
-        self._nvlink_graph = networkx.Graph()
-        self._nvlink_graph.add_nodes_from(range(spec.gpu_count))
         # NVLink is full-duplex: one Link per direction, so opposing
         # migrations (e.g., two mutual parallel transmissions) never
         # contend with each other.
@@ -85,7 +81,6 @@ class Machine:
             for src, dst in ((a, b), (b, a)):
                 self.nvlinks[src, dst] = Link(f"nvlink{src}->{dst}",
                                               spec.nvlink_bandwidth)
-            self._nvlink_graph.add_edge(a, b)
         #: Every link on the machine by name (``gpuN.pcie``,
         #: ``switchS.uplink``, ``nvlinkA->B``) — the address space fault
         #: schedules use to target individual links.

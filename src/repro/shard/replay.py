@@ -253,8 +253,9 @@ class _SerialShard:
         pass
 
 
-#: Extra deadline slack while a worker boots: spawn plus model planning
-#: can legitimately take far longer than one epoch's compute.
+#: Extra deadline slack while a worker boots: spawn plus importing the
+#: package can legitimately take far longer than one epoch's compute,
+#: more so while the whole fleet boots at once.
 _SPAWN_GRACE = 30.0
 #: Seconds granted at each escalation step of :func:`_stop_process`.
 _STOP_GRACE = 5.0
@@ -333,16 +334,22 @@ class _ProcessShard:
         self._eof = False
         self._last_signal = time.monotonic()
         try:
-            self._spawn(init)
+            self._launch(init)
         except BaseException:
             # Partial construction must not leak the pipe fds or the
             # worker process: release everything before re-raising.
             self.stop()
             raise
 
-    # -- liveness and receive --------------------------------------------------------
+    # -- start-up --------------------------------------------------------------------
 
-    def _spawn(self, init: WorkerInit) -> None:
+    def _launch(self, init: WorkerInit) -> None:
+        """Start a worker incarnation without waiting for it to boot.
+
+        Start-up is two steps so a fleet boots concurrently: the broker
+        launches every shard, then calls :meth:`await_ready` on each.
+        The boot deadline runs from this launch, not from the await.
+        """
         self._conn, child = self._context.Pipe()
         self._inbox.clear()
         self._eof = False
@@ -354,7 +361,12 @@ class _ProcessShard:
         finally:
             child.close()
         self._last_signal = time.monotonic()
+
+    def await_ready(self) -> None:
+        """Block until the launched worker reports ``ready``."""
         self._recv("ready", extra_grace=_SPAWN_GRACE)
+
+    # -- liveness and receive --------------------------------------------------------
 
     def _pump(self) -> None:
         """Drain every frame already sitting in the pipe into the inbox.
@@ -515,7 +527,8 @@ class _ProcessShard:
             if backoff > 0:
                 time.sleep(backoff)
             try:
-                self._spawn(self._journal.respawn_init())
+                self._launch(self._journal.respawn_init())
+                self.await_ready()
                 self._fast_forward()
                 return
             except RECOVERABLE_FAULTS as next_fault:
@@ -807,6 +820,9 @@ class ShardedReplay:
                 for init in inits:
                     shards.append(_ProcessShard(init, context,
                                                 self.shard))
+                # Every worker boots in parallel; await them in turn.
+                for shard in shards:
+                    shard.await_ready()
             else:
                 for init in inits:
                     shards.append(_SerialShard(init))

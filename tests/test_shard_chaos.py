@@ -224,7 +224,9 @@ class TestErrorTypePreservation:
                               max_worker_restarts=0, **FAST)
         init = replay._worker_inits(())[0]
         context = multiprocessing.get_context("spawn")
-        return _ProcessShard(init, context, replay.shard)
+        shard = _ProcessShard(init, context, replay.shard)
+        shard.await_ready()
+        return shard
 
     def test_workload_error_is_reraised_as_workload_error(self):
         shard = self._one_shard()

@@ -15,9 +15,14 @@ the end-to-end differential oracle:
 
 The process-backend case also doubles as the fd-leak regression test:
 back-to-back replays must not accumulate pipe or sentinel descriptors.
+The same backend boots its workers concurrently: every shard is
+launched before the broker awaits any ``ready`` frame, and a worker
+that dies during boot takes no process or descriptor with it.
 """
 
+import dataclasses
 import gc
+import multiprocessing
 import os
 
 import numpy
@@ -27,7 +32,7 @@ from repro.audit.shard import ShardLedger
 from repro.errors import WorkloadError
 from repro.hw.specs import p3_8xlarge
 from repro.serving.metrics import RequestRecord
-from repro.shard import ShardConfig, ShardedReplay
+from repro.shard import ShardConfig, ShardedReplay, WorkerInternalError
 from repro.shard.protocol import (
     WIRE_VERSION,
     AttemptFailure,
@@ -43,6 +48,7 @@ from repro.shard.protocol import (
     unpack_heartbeat,
     unpack_outcome,
 )
+from repro.shard.replay import _ProcessShard
 from repro.units import MS
 from tests.test_shard_replay import random_scenario
 
@@ -276,3 +282,57 @@ class TestProcessBackendHygiene:
         assert after - before <= 2, (
             f"process backend leaked {after - before} fds over three "
             f"back-to-back replays")
+
+
+class TestConcurrentStart:
+    """Process-backend workers boot in parallel, not one after another."""
+
+    def test_every_worker_starts_before_any_ready_is_awaited(
+            self, monkeypatch):
+        launched: list[_ProcessShard] = []
+        alive_at_await: list[list[bool]] = []
+        original_init = _ProcessShard.__init__
+        original_await = _ProcessShard.await_ready
+
+        def recording_init(shard, *args, **kwargs):
+            original_init(shard, *args, **kwargs)
+            launched.append(shard)
+
+        def recording_await(shard):
+            alive_at_await.append(
+                [other._process.is_alive() for other in launched])
+            original_await(shard)
+
+        monkeypatch.setattr(_ProcessShard, "__init__", recording_init)
+        monkeypatch.setattr(_ProcessShard, "await_ready", recording_await)
+        run_modes(random_scenario(1), 3, backend="process")  # 3 machines
+        assert alive_at_await == [[True, True, True]] * 3
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs /proc to count descriptors")
+    def test_worker_failing_before_ready_leaks_nothing(self, monkeypatch):
+        """Shard 1 of 3 cannot build its machines (unknown model), so it
+        reports an error instead of ``ready``: the replay must raise the
+        typed fault and reap all three workers and their pipes."""
+        original = ShardedReplay._worker_inits
+
+        def poisoned_inits(replay, fault_schedule):
+            inits = original(replay, fault_schedule)
+            bad = inits[1]
+            inits[1] = dataclasses.replace(bad, placements=(
+                *bad.placements,
+                (bad.machine_names[0], "ghost#0", "no-such-model")))
+            return inits
+
+        scenario = random_scenario(1)  # 3 machines
+        run_modes(scenario, 3, backend="process")  # warm spawn machinery
+        monkeypatch.setattr(ShardedReplay, "_worker_inits", poisoned_inits)
+        before = open_fds()
+        with pytest.raises(WorkerInternalError, match="no-such-model") \
+                as info:
+            run_modes(scenario, 3, backend="process")
+        assert info.value.shard_id == 1
+        assert multiprocessing.active_children() == []
+        after = open_fds()
+        assert after - before <= 2, (
+            f"a failed boot leaked {after - before} fds")
