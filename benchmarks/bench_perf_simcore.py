@@ -12,7 +12,7 @@ simulated traffic through the kernel.  Five probes:
 * **plans/sec** — ``DeepPlan.plan`` throughput, cold (fresh planner
   state) and repeat (same planner asked again — the plan-cache path);
 * **shard replay requests/sec** — the ``repro.shard`` epoch engine on
-  the serial backend: route-ahead planning, vectorized broker routing,
+  the serial backend: route-ahead planning, broker routing,
   adaptive epochs, per-epoch reconciliation;
 * **fig13/fig15 runtime** — end-to-end wall time of reduced versions of
   the two serving benchmarks, together with their *simulated* outputs so
@@ -170,7 +170,7 @@ def measure_shard_replay(num_requests: int = 1200) -> dict:
     """Sharded replay throughput: 2-shard pipelined epoch engine.
 
     Serial backend, so the probe measures the epoch pipeline itself —
-    route-ahead planning, vectorized broker routing, adaptive epoch
+    route-ahead planning, broker routing, adaptive epoch
     sizing, per-epoch reconciliation — without multiprocessing jitter,
     which keeps the number meaningful on a 1-CPU runner.
     """

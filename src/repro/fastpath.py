@@ -1,9 +1,18 @@
 """Global switch for the simulation fast path.
 
-The fast path (incremental fair-share rebalancing, planner timeline
-memoization, plan caching) is on by default and produces the same
-simulated results as the reference implementations; it exists purely to
-cut wall-clock time.  Two ways to fall back to the reference code paths:
+The fast path is on by default and produces the same simulated results
+as the reference implementations; it exists purely to cut wall-clock
+time.  It switches three things:
+
+* the flow engine (:mod:`repro.simkit.links`): incremental per-component
+  rebalancing with the flat-array fill kernel and the path-class census
+  memo, instead of a from-scratch dict-based refill of every component;
+* the planner: the memoized Algorithm-1 timeline;
+* the default plan cache of :class:`~repro.core.deepplan.DeepPlan`.
+
+The simulator's event loop and the shard broker's routing have a single
+implementation each and do not consult the switch.  Two ways to fall
+back to the reference code paths:
 
 * environment: run with ``REPRO_SLOW_PATH=1``;
 * in-process: ``with fastpath.forced(False): ...`` — used by the perf

@@ -22,13 +22,6 @@ routed counts into a preflight queue; :meth:`in_transit_for` /
 conservation checks, and the coordinator calls :meth:`retire_epoch`
 once an epoch's outcomes have been folded back in.
 
-The per-request policy loop has a vectorized fast path (flat numpy
-arrays over the boundary snapshots, first-occurrence ``argmin``
-replicating the scalar ``(score, name)`` tie-break bit for bit) used
-for batches of at least ``_VEC_MIN_BATCH`` requests when
-:func:`repro.fastpath.enabled`; the scalar loop remains the
-differential reference.
-
 Scope: the epoch protocol covers the base fleet with the three routing
 policies (round-robin, least-loaded, affinity).  Autoscaling, standby
 activation and the cold-start circuit breaker are continuous-time
@@ -44,9 +37,6 @@ import dataclasses
 import heapq
 import typing
 
-import numpy
-
-from repro import fastpath
 from repro.audit.shard import GlobalLedger
 from repro.core.deepplan import DeepPlan, Strategy
 from repro.core.plan import ExecutionPlan
@@ -57,9 +47,6 @@ from repro.serving.workload import Request
 from repro.shard.protocol import Delivery, EpochOutcome, MachineSnapshot
 
 __all__ = ["EpochBroker", "PendingRequest"]
-
-#: Smallest ready batch worth the vectorized policy loop's setup cost.
-_VEC_MIN_BATCH = 8
 
 
 @dataclasses.dataclass(frozen=True)
@@ -97,9 +84,10 @@ class EpochBroker:
         self._replicas = {name: sorted(machines)
                           for name, machines in replicas.items()}
         self.ledger = GlobalLedger()
-        # The broker regenerates plans with its own seeded planner —
-        # identical to the shards' because plans are machine-shape
-        # functions of (spec, strategy, seed).
+        # The broker regenerates plans with its own seeded planner, in
+        # model-name order.  The profiler draws its noise in profiling
+        # order, so these match the shards' plans only when the catalog
+        # deploys in that order too; they feed routing scores alone.
         planner = DeepPlan(spec)
         parsed = Strategy.parse(strategy)
         self._plans: dict[str, ExecutionPlan] = {}
@@ -131,16 +119,6 @@ class EpochBroker:
         #: newer is in transit — see :meth:`in_transit_for`).
         self._preflight: collections.deque[dict[str, int]] = \
             collections.deque()
-        # Flat-array views for the vectorized policy loop: a stable
-        # machine numbering plus, per instance, its replica machines as
-        # an index array in the scalar loop's (name-sorted) candidate
-        # order.
-        self._names: list[str] = list(machine_names)
-        name_index = {name: i for i, name in enumerate(self._names)}
-        self._candidate_idx = {
-            instance: numpy.array([name_index[name] for name in machines],
-                                  dtype=numpy.intp)
-            for instance, machines in self._replicas.items()}
 
     # -- intake ---------------------------------------------------------------------
 
@@ -238,68 +216,6 @@ class EpochBroker:
                     name, pending.instance_name), name))
         return choice
 
-    def _service_vector(self, instance_name: str) -> numpy.ndarray:
-        """Per-candidate estimated service, in candidate-index order."""
-        plan = self._plans[self._instance_models[instance_name]]
-        warm_latency = plan.predicted_warm_latency
-        cold_latency = plan.predicted_latency
-        return numpy.array(
-            [warm_latency
-             if instance_name in self.snapshots[self._names[i]].warm
-             else cold_latency
-             for i in self._candidate_idx[instance_name].tolist()],
-            dtype=numpy.float64)
-
-    def _route_batch_vectorized(
-            self, batch: typing.Sequence[PendingRequest]
-    ) -> "list[str | None]":
-        """Flat-array version of :meth:`_route` over a whole batch.
-
-        Sequential in request order (each routed request raises its
-        machine's load before the next request scores it, exactly like
-        the scalar loop), but every per-request decision is a masked
-        ``argmin`` over flat arrays instead of a Python ``min`` over
-        dict lookups.  Candidates are name-sorted, so numpy's
-        first-occurrence ``argmin`` reproduces the scalar
-        ``(score, name)`` tie-break; the score arithmetic is the same
-        one IEEE-754 add, so choices are bit-identical.
-        """
-        names = self._names
-        active = numpy.array(
-            [self.snapshots[name].state == "active" for name in names])
-        least_loaded = self.policy == "least-loaded"
-        if least_loaded:
-            load = numpy.array([self.outstanding[name] for name in names],
-                               dtype=numpy.float64)
-        else:
-            load = numpy.array([self.pending_cost[name] for name in names],
-                               dtype=numpy.float64)
-        service_vectors: dict[str, numpy.ndarray] = {}
-        choices: "list[str | None]" = []
-        for pending in batch:
-            candidates = self._candidate_idx[pending.instance_name]
-            mask = active[candidates]
-            if not mask.any():
-                choices.append(None)
-                continue
-            if least_loaded:
-                scores = load[candidates].copy()
-            else:
-                service = service_vectors.get(pending.instance_name)
-                if service is None:
-                    service = self._service_vector(pending.instance_name)
-                    service_vectors[pending.instance_name] = service
-                scores = load[candidates] + service
-            scores[~mask] = numpy.inf
-            machine = int(candidates[int(scores.argmin())])
-            choices.append(names[machine])
-            if least_loaded:
-                load[machine] += 1.0
-            else:
-                load[machine] += self._estimated_service(
-                    names[machine], pending.instance_name)
-        return choices
-
     def route_epoch(self, boundary: float) -> dict[str, list[Delivery]]:
         """Route everything ready at *boundary*; deliveries due later.
 
@@ -315,13 +231,8 @@ class EpochBroker:
         batch: list[PendingRequest] = []
         while self._pending and self._pending[0][0] <= boundary:
             batch.append(heapq.heappop(self._pending)[2])
-        choices: "list[str | None] | None" = None
-        if (len(batch) >= _VEC_MIN_BATCH
-                and self.policy != "round-robin" and fastpath.enabled()):
-            choices = self._route_batch_vectorized(batch)
-        for i, pending in enumerate(batch):
-            machine_name = (choices[i] if choices is not None
-                            else self._route(pending))
+        for pending in batch:
+            machine_name = self._route(pending)
             if machine_name is None:
                 self._attempt_failed(pending, boundary)
                 continue

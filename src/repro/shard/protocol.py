@@ -207,7 +207,8 @@ class WorkerInit:
     shard_id: int
     spec: MachineSpec
     machine_names: tuple[str, ...]
-    #: (machine_name, instance_name, model_name) in global deploy order.
+    #: (machine_name, instance_name, model_name) for the whole fleet, in
+    #: global deploy order; the shard deploys those on its own machines.
     placements: tuple[tuple[str, str, str], ...]
     server: ServerConfig
     prewarm: bool

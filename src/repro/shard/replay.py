@@ -753,8 +753,7 @@ class ShardedReplay:
                 shard_id=shard_id,
                 spec=self.spec,
                 machine_names=group,
-                placements=tuple(p for p in self._placements
-                                 if p[0] in members),
+                placements=tuple(self._placements),
                 server=server,
                 prewarm=self.config.prewarm,
                 audit=self.config.audit,

@@ -21,17 +21,15 @@ the fill entirely.
 
 The fast path runs the fill as a flat-array kernel: links and flows are
 numbered with component-local integers, the flow×link incidence is a
-CSR-style index list, and each water-filling iteration freezes a whole
-bottleneck group at once.  Components at or above ``_VEC_MIN_FLOWS``
-flows run the same kernel vectorized in numpy (``np.add.at`` /
-``np.subtract.at`` apply their updates sequentially in index order, so
-the float evaluation order — and therefore every bit of every rate — is
-identical to the scalar kernel and to the reference fill).
-``REPRO_SLOW_PATH=1`` (see :mod:`repro.fastpath`) refills every
-component from scratch with the original dict-based arithmetic instead —
-same per-component evaluation order, so all paths produce bit-identical
-rates — and :meth:`FlowNetwork.reference_fair_rates` exposes the
-original whole-network progressive filling for differential testing.
+per-flow index list, and each water-filling iteration freezes a whole
+bottleneck group at once, in the reference fill's float evaluation
+order.  Uniform components (equal weights, no caps) first consult a memo
+keyed by their path-class census.  ``REPRO_SLOW_PATH=1`` (see
+:mod:`repro.fastpath`) refills every component from scratch with the
+original dict-based arithmetic instead — same per-component evaluation
+order, so all paths produce bit-identical rates — and
+:meth:`FlowNetwork.reference_fair_rates` exposes the original
+whole-network progressive filling for differential testing.
 """
 
 from __future__ import annotations
@@ -44,11 +42,6 @@ import typing
 from repro import fastpath
 from repro.simkit.events import Event
 
-try:  # numpy powers the vectorized kernel; everything degrades to the
-    import numpy as _np  # scalar flat-array kernel without it.
-except ImportError:  # pragma: no cover - numpy is a hard dep elsewhere
-    _np = None
-
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.simkit.sim import Simulator
 
@@ -60,17 +53,6 @@ _EPSILON_BYTES = 1e-3
 _INF = float("inf")
 
 _flow_id = operator.attrgetter("id")
-
-#: Component size at which the water-filling kernel switches from the
-#: flat scalar loops to the numpy group kernel.  Below this, numpy's
-#: per-call overhead on tiny arrays costs more than it saves; both
-#: kernels perform the identical float operations in the identical
-#: order, so the switch is invisible to simulated results.
-_VEC_MIN_FLOWS = 40
-
-#: Active-flow count at which the post-fill completion/milestone wait
-#: scan runs as one vectorized min-reduction instead of a Python loop.
-_VEC_MIN_SCAN = 64
 
 #: Fill-memo capacity (entries).  The memo is cleared, not evicted, when
 #: it fills: component shapes in steady-state serving cycle through a
@@ -173,7 +155,6 @@ class FlowNetwork:
         if incremental is None:
             incremental = fastpath.enabled()
         self._incremental = incremental
-        self._vectorized = incremental and _np is not None
         #: Path-class census -> per-class rates memo, and the path ->
         #: class-id intern table backing it (see :meth:`_fill`).  Hits
         #: are bit-identical replays of an earlier fill of the same
@@ -419,44 +400,30 @@ class FlowNetwork:
         if self.observer is not None:
             self.observer.on_rates_assigned(self)
         token = self._timer_token
-        # _bytes_to_next_event over every active flow, batched: the wait
-        # is the min over flows of bytes-to-next-event / rate.  Large
-        # active sets take one vectorized min-reduction; small ones (the
-        # common case) run an inlined loop — most flows carry no
-        # milestones, so each is a pair of attribute loads and a divide.
-        if self._vectorized and len(active) >= _VEC_MIN_SCAN \
-                and not self._milestoned:
-            count = len(active)
-            rates = _np.fromiter(
-                (f.rate for f in active), dtype=float, count=count)
-            nbytes = _np.fromiter(
-                (f.remaining for f in active), dtype=float, count=count)
-            live = rates > 0.0
-            if not live.any():
-                return
-            wait = float(_np.min(nbytes[live] / rates[live]))
-        else:
-            wait = _INF
-            for flow in active:
-                rate = flow.rate
-                if rate <= 0.0:
-                    continue
-                nbytes = flow.remaining
-                milestones = flow.milestones
-                if flow._next_milestone < len(milestones):
-                    to_milestone = (milestones[flow._next_milestone][0]
-                                    - (flow.nbytes - flow.remaining))
-                    if to_milestone < nbytes:
-                        nbytes = to_milestone
-                candidate = nbytes / rate
-                if candidate < wait:
-                    wait = candidate
-            if wait == _INF:
-                # Every active flow is rate-starved (e.g. links drained
-                # to a zero residual by float-exhausted allocations);
-                # rates will be reassigned when another flow starts or
-                # finishes.
-                return
+        # _bytes_to_next_event over every active flow, inlined: the wait
+        # is the min over flows of bytes-to-next-event / rate.  Most
+        # flows carry no milestones, so each is a pair of attribute loads
+        # and a divide.
+        wait = _INF
+        for flow in active:
+            rate = flow.rate
+            if rate <= 0.0:
+                continue
+            nbytes = flow.remaining
+            milestones = flow.milestones
+            if flow._next_milestone < len(milestones):
+                to_milestone = (milestones[flow._next_milestone][0]
+                                - (flow.nbytes - flow.remaining))
+                if to_milestone < nbytes:
+                    nbytes = to_milestone
+            candidate = nbytes / rate
+            if candidate < wait:
+                wait = candidate
+        if wait == _INF:
+            # Every active flow is rate-starved (e.g. links drained to a
+            # zero residual by float-exhausted allocations); rates will
+            # be reassigned when another flow starts or finishes.
+            return
         sim = self.sim
         if wait <= 0.0:
             sim._ripe.append(
@@ -532,22 +499,17 @@ class FlowNetwork:
 
     # -- the water-filling kernels ------------------------------------------------
     #
-    # Three implementations of weighted progressive filling share one
+    # Two implementations of weighted progressive filling share one
     # float evaluation order, which makes their outputs bit-identical:
     #
     # * _fill_reference — the original dict-bookkeeping loop, kept as the
     #   executable spec (reference_fair_rates, REPRO_SLOW_PATH=1);
     # * _fill_small — the same algorithm over flat arrays indexed by
-    #   component-local integers (fast path, small components);
-    # * _fill_vec — the flat-array kernel vectorized in numpy, freezing
-    #   whole bottleneck groups per iteration (fast path, components of
-    #   _VEC_MIN_FLOWS flows or more).
+    #   component-local integers (the fast path).
     #
     # The order contract: flows are visited in ascending flow id; a
     # frozen flow's rate is subtracted from its path links in path
     # order; per-link load/count bookkeeping follows the same sequence.
-    # numpy's add.at/subtract.at apply duplicate-index updates
-    # sequentially in index order, which is exactly that contract.
 
     def _fill_component(self, component: set[Flow]) -> None:
         """Fill one connected component given as an *unordered* set.
@@ -653,7 +615,7 @@ class FlowNetwork:
                 for flow, cls in zip(ordered, classes):
                     flow.rate = rates[cls]
                 return
-            self._run_fill_kernel(ordered, n)
+            self._fill_small(ordered)
             value: dict[int, float] = {}
             for flow, cls in zip(ordered, classes):
                 rate = value.setdefault(cls, flow.rate)
@@ -663,43 +625,10 @@ class FlowNetwork:
                 memo.clear()
             memo[key] = value
             return
-        self._run_fill_kernel(ordered, n)
+        self._fill_small(ordered)
 
-    def _run_fill_kernel(self, ordered: typing.Sequence[Flow],
-                         n: int) -> None:
-        """Build the flat component tables and run the matching kernel."""
-        link_ids: dict[Link, int] = {}
-        bands: list[float] = []
-        links_of: list[tuple[int, ...]] = []
-        weights: list[float] = []
-        caps: list[float | None] = []
-        any_cap = False
-        for flow in ordered:
-            ids: list[int] = []
-            for link in flow.path:
-                j = link_ids.get(link)
-                if j is None:
-                    j = link_ids[link] = len(bands)
-                    bands.append(link.bandwidth)
-                ids.append(j)
-            cap = flow.max_rate
-            if cap is not None:
-                any_cap = True
-            links_of.append(tuple(ids))
-            weights.append(flow.weight)
-            caps.append(cap)
-        if self._vectorized and n >= _VEC_MIN_FLOWS:
-            self._fill_vec(ordered, bands, links_of, weights, caps, any_cap)
-        else:
-            self._fill_small(ordered, bands, links_of, weights, caps, any_cap)
-
-    def _fill_small(self, ordered: typing.Sequence[Flow],
-                    bands: list[float],
-                    links_of: list[tuple[int, ...]],
-                    weights: list[float],
-                    caps: list[float | None],
-                    any_cap: bool) -> None:
-        """Flat-array progressive filling for small components.
+    def _fill_small(self, ordered: typing.Sequence[Flow]) -> None:
+        """Flat-array progressive filling over *ordered*.
 
         Links carry component-local integer ids in first-seen order (the
         same order the reference fill's dicts iterate), per-link state
@@ -707,17 +636,37 @@ class FlowNetwork:
         bottleneck group — no per-flow dict bookkeeping.
         """
         n = len(ordered)
-        m = len(bands)
-        residual = bands  # the caller's copy; consumed in place
-        load = [0.0] * m
-        count = [0] * m
-        flows_of: list[list[int]] = [[] for _ in range(m)]
-        for i, ids in enumerate(links_of):
-            weight = weights[i]
-            for j in ids:
+        link_ids: dict[Link, int] = {}
+        residual: list[float] = []
+        load: list[float] = []
+        count: list[int] = []
+        flows_of: list[list[int]] = []
+        links_of: list[tuple[int, ...]] = []
+        weights: list[float] = []
+        caps: list[float | None] = []
+        any_cap = False
+        for i, flow in enumerate(ordered):
+            weight = flow.weight
+            ids: list[int] = []
+            for link in flow.path:
+                j = link_ids.get(link)
+                if j is None:
+                    j = link_ids[link] = len(residual)
+                    residual.append(link.bandwidth)
+                    load.append(0.0)
+                    count.append(0)
+                    flows_of.append([])
                 load[j] += weight
                 count[j] += 1
                 flows_of[j].append(i)
+                ids.append(j)
+            cap = flow.max_rate
+            if cap is not None:
+                any_cap = True
+            links_of.append(tuple(ids))
+            weights.append(weight)
+            caps.append(cap)
+        m = len(residual)
 
         frozen = bytearray(n)
         left = n
@@ -767,92 +716,6 @@ class FlowNetwork:
                         c = count[j] - 1
                         count[j] = c
                         load[j] = load[j] - weight if c else 0.0
-
-    def _fill_vec(self, ordered: typing.Sequence[Flow],
-                  bands: list[float],
-                  links_of: list[tuple[int, ...]],
-                  weights_in: list[float],
-                  caps_in: list[float | None],
-                  any_cap: bool) -> None:
-        """Vectorized progressive filling for large components.
-
-        The flow×link incidence is CSR-style index arrays; every
-        water-filling iteration computes all link shares at once and
-        freezes the whole bottleneck (or capped) group with
-        ``np.subtract.at``, whose sequential duplicate-index semantics
-        reproduce the scalar kernel's float evaluation order exactly.
-        """
-        np = _np
-        n = len(ordered)
-        m = len(bands)
-        weights = np.asarray(weights_in)
-        caps = np.array([_INF if c is None else c for c in caps_in])
-        residual = np.asarray(bands)
-        flows_ix = np.repeat(np.arange(n, dtype=np.intp),
-                             [len(ids) for ids in links_of])
-        links_ix = np.fromiter((j for ids in links_of for j in ids),
-                               dtype=np.intp, count=len(flows_ix))
-        inc_weight = weights[flows_ix]
-        load = np.zeros(m)
-        np.add.at(load, links_ix, inc_weight)
-        count = np.bincount(links_ix, minlength=m)
-        rates = np.empty(n)
-        unfrozen = np.ones(n, dtype=bool)
-        left = n
-        with np.errstate(divide="ignore", invalid="ignore"):
-            while left:
-                contested = count > 0
-                shares = np.where(contested, residual / load, _INF)
-                share = shares.min()
-                if any_cap:
-                    capped = unfrozen & (caps <= weights * share)
-                    if capped.any():
-                        group = np.nonzero(capped)[0]
-                        group_rates = caps[group]
-                        left -= self._freeze_group(
-                            np, group, group_rates, rates, unfrozen,
-                            flows_ix, links_ix, inc_weight,
-                            residual, load, count, m)
-                        continue
-                bottleneck = shares.argmin()
-                group = flows_ix[links_ix == bottleneck]
-                group = group[unfrozen[group]]
-                group_rates = weights[group] * share
-                left -= self._freeze_group(
-                    np, group, group_rates, rates, unfrozen,
-                    flows_ix, links_ix, inc_weight,
-                    residual, load, count, m)
-        for i, rate in enumerate(rates.tolist()):
-            ordered[i].rate = rate
-
-    @staticmethod
-    def _freeze_group(np, group, group_rates, rates, unfrozen,
-                      flows_ix, links_ix, inc_weight,
-                      residual, load, count, m) -> int:
-        """Freeze *group* (ascending flow indices) at *group_rates*.
-
-        Interleaving note: the scalar kernel clamps each link residual at
-        zero after every single subtraction; doing all of a group's
-        subtractions first (sequentially, via ``subtract.at``) and
-        clamping once is bit-identical because rates are non-negative —
-        once a residual would clamp, every later value in the chain
-        clamps to the same zero.  Likewise the scalar kernel zeroes a
-        link's load the moment its unfrozen count hits zero, which can
-        only happen on the group's last crossing flow — so subtracting
-        all group weights and then zeroing drained links matches.
-        """
-        rates[group] = group_rates
-        unfrozen[group] = False
-        member = np.zeros(len(rates), dtype=bool)
-        member[group] = True
-        rows = member[flows_ix]
-        rows_links = links_ix[rows]
-        np.subtract.at(residual, rows_links, rates[flows_ix[rows]])
-        np.maximum(residual, 0.0, out=residual)
-        count -= np.bincount(rows_links, minlength=m)
-        np.subtract.at(load, rows_links, inc_weight[rows])
-        load[count == 0] = 0.0
-        return int(len(group))
 
     def _fill_reference(self, ordered: typing.Sequence[Flow],
                         into: dict[Flow, float] | None = None) -> None:

@@ -14,7 +14,8 @@ zero-delay callbacks).  Same-instant dispatch is the hottest operation in
 the kernel — every event trigger lands here — and a deque append is far
 cheaper than a heap sift while preserving the exact same global order,
 because same-instant entries always carry fresh (larger) sequence
-numbers.
+numbers.  One loop, :meth:`Simulator._run`, drains both queues for every
+form of :meth:`Simulator.run`.
 """
 
 from __future__ import annotations
@@ -24,171 +25,11 @@ import heapq
 import itertools
 import typing
 
-from repro import fastpath
-from repro.simkit.events import _FAILED, _PENDING, _SUCCEEDED, Event
+from repro.simkit.events import _FAILED, _PENDING, Event
 
 __all__ = ["Simulator", "Process", "Interrupt"]
 
 _INF = float("inf")
-
-
-#: Bucket adoptions between calendar width-adaptation checks.
-_CAL_RESIZE = 64
-
-
-class _CalendarQueue:
-    """A calendar (bucketed) priority queue of ``(time, seq, action)``.
-
-    Entries hash by time into fixed-width *day* buckets.  Future-day
-    buckets are plain unsorted lists — a push is a dict probe and an
-    append, with none of the heap-sift churn that dominates timer
-    re-arm workloads — and a bucket is only ordered when its day comes
-    up for draining.  The draining bucket is a binary min-heap, so the
-    three operations it must support — heapify at adoption, pop-min,
-    and insert of a same-day entry — are all C-level ``heapq`` calls on
-    a bucket-sized heap; the current minimum entry is cached in
-    :attr:`head` so peeking (which the run loop does every iteration)
-    is an attribute load.
-
-    The day width adapts to the observed bucket occupancy: every
-    ``_CAL_RESIZE`` bucket adoptions, the mean entries-per-bucket is
-    compared against the target fill and the queue re-buckets itself
-    when it is off by 2x or more.  The band must be tighter than the
-    rebucketing is costly: at 4x tolerance a timer-wheel mix settles
-    at fill ~3, paying three adoptions' worth of bookkeeping (days-heap
-    pop, dict pop, heapify) where one would do.  Width only affects
-    speed, never order — entries compare by ``(time, seq)`` wherever
-    they sit — and it adapts deterministically (a function of the
-    entries alone), so replays stay identical.
-
-    The hot paths — push in :meth:`Simulator.timeout`, pop in
-    :meth:`Simulator._run_fast` — are inlined at their call sites; the
-    methods here are the same operations for everything else.
-    """
-
-    #: Aim for this many entries per bucket after a resize.  Adoption
-    #: bookkeeping amortizes over the fill, and popping from a 16-entry
-    #: heap costs barely more than from a 4-entry one, so erring high
-    #: wins: 16 measures ~10% faster than 8 on the event-churn mix.
-    _TARGET_FILL = 16.0
-
-    __slots__ = ("_width", "_inv_width", "_buckets", "_days", "_cur_day",
-                 "_bucket", "head", "_size", "_adoptions", "_adopted")
-
-    def __init__(self, width: float = 1e-4) -> None:
-        self._width = width
-        self._inv_width = 1.0 / width
-        #: Future days -> unsorted entry lists (the draining day is not
-        #: in here; it lives in _cur_day/_bucket).
-        self._buckets: dict[int, list] = {}
-        #: Min-heap of the future day numbers present in _buckets.
-        self._days: list[int] = []
-        self._cur_day: int | None = None
-        #: The draining day's entries, as a binary min-heap.
-        self._bucket: list | None = None
-        #: The minimum entry, or None when empty.
-        self.head: tuple | None = None
-        self._size = 0
-        #: Buckets adopted / entries they held since the last width check.
-        self._adoptions = 0
-        self._adopted = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    def push(self, entry: tuple) -> None:
-        cur = self._cur_day
-        day = int(entry[0] * self._inv_width)
-        if cur is None:
-            self._cur_day = day
-            self._bucket = [entry]
-            self.head = entry
-        elif day == cur:
-            heapq.heappush(self._bucket, entry)  # type: ignore[arg-type]
-            self.head = self._bucket[0]  # type: ignore[index]
-        elif day < cur:
-            # Earlier than the draining day (the clock lags the drained
-            # horizon): demote the current bucket and adopt this one.
-            self._buckets[cur] = self._bucket  # type: ignore[assignment]
-            heapq.heappush(self._days, cur)
-            self._cur_day = day
-            self._bucket = [entry]
-            self.head = entry
-        else:
-            bucket = self._buckets.get(day)
-            if bucket is None:
-                self._buckets[day] = [entry]
-                heapq.heappush(self._days, day)
-            else:
-                bucket.append(entry)
-        self._size += 1
-
-    def pop(self) -> tuple:
-        """Remove and return the minimum entry (which is :attr:`head`)."""
-        bucket = self._bucket
-        entry = heapq.heappop(bucket)  # type: ignore[arg-type]
-        self._size -= 1
-        if bucket:
-            self.head = bucket[0]  # type: ignore[index]
-        else:
-            self._advance()
-        return entry
-
-    def _advance(self) -> None:
-        """The draining bucket emptied; adopt the next day (or go idle).
-
-        Width adaptation hangs off adoption, not off every pop: the mean
-        occupancy of adopted buckets *is* the quantity the width tries to
-        control, and measuring it here keeps the per-pop path free of
-        counter updates.
-        """
-        days = self._days
-        if days:
-            day = heapq.heappop(days)
-            bucket = self._buckets.pop(day)
-            heapq.heapify(bucket)
-            self._cur_day = day
-            self._bucket = bucket
-            self.head = bucket[0]
-            self._adoptions += 1
-            self._adopted += len(bucket)
-            if self._adoptions >= _CAL_RESIZE:
-                self._maybe_resize()
-        else:
-            self._cur_day = None
-            self._bucket = None
-            self.head = None
-
-    def _maybe_resize(self) -> None:
-        mean = self._adopted / self._adoptions
-        self._adoptions = 0
-        self._adopted = 0
-        target = self._TARGET_FILL
-        if target * 0.5 <= mean <= target * 2.0:
-            return
-        ideal = self._width * (target / mean)
-        entries = [e for bucket in self._buckets.values() for e in bucket]
-        if self._bucket:
-            entries.extend(self._bucket)
-        self._width = ideal
-        self._inv_width = inv = 1.0 / ideal
-        self._buckets.clear()
-        self._days.clear()
-        self._cur_day = None
-        self._bucket = None
-        self.head = None
-        buckets = self._buckets
-        for entry in entries:
-            day = int(entry[0] * inv)
-            bucket = buckets.get(day)
-            if bucket is None:
-                buckets[day] = [entry]
-            else:
-                bucket.append(entry)
-        self._days.extend(buckets)
-        heapq.heapify(self._days)
-        if entries:
-            self._advance()
 
 
 class Interrupt(Exception):
@@ -314,23 +155,13 @@ class Process:
 
 
 class Simulator:
-    """Owns the simulated clock and the pending-action queues.
+    """Owns the simulated clock and the pending-action queues."""
 
-    On the fast path (see :mod:`repro.fastpath`) future actions live in
-    a :class:`_CalendarQueue` and timeout events are triggered directly
-    by the run loop (the *fused dispatch* — see :meth:`_run_fast`);
-    under ``REPRO_SLOW_PATH=1`` the original binary heap and
-    ``Event.succeed`` scheduling run instead, as the ordering
-    reference.  Both orders are identical: entries compare by
-    ``(time, sequence)`` in either container.
-    """
+    __slots__ = ("_now", "_queue", "_ripe", "_sequence")
 
-    __slots__ = ("_now", "_queue", "_ripe", "_sequence", "_calendar")
-
-    def __init__(self, fast: bool | None = None) -> None:
+    def __init__(self) -> None:
         self._now = 0.0
         #: Future (and not-yet-popped same-instant) actions: (at, seq, fn).
-        #: Used when the calendar queue is disabled (the slow path).
         self._queue: list[tuple[float, int, typing.Callable[[], None]]] = []
         #: Current-instant actions in FIFO order: (seq, fn).  Invariant:
         #: every entry was appended at time == _now with a sequence number
@@ -339,51 +170,13 @@ class Simulator:
         self._ripe: collections.deque[
             tuple[int, typing.Callable[[], None]]] = collections.deque()
         self._sequence = itertools.count()
-        if fast is None:
-            fast = fastpath.enabled()
-        #: Fast-path future-action queue; ``None`` selects the heap.
-        self._calendar: _CalendarQueue | None = \
-            _CalendarQueue() if fast else None
 
     @property
     def now(self) -> float:
         """Current simulated time, in seconds."""
         return self._now
 
-    @property
-    def pending_actions(self) -> int:
-        """Number of scheduled-but-unexecuted actions (audit introspection)."""
-        calendar = self._calendar
-        future = len(self._queue) if calendar is None else len(calendar)
-        return future + len(self._ripe)
-
-    @property
-    def next_time(self) -> float:
-        """Time of the earliest scheduled action (``inf`` when idle).
-
-        Ripe (same-instant) actions report the current time.  Epoch-
-        stepped drivers (:mod:`repro.shard`) use this to detect a
-        quiesced shard without running it.
-        """
-        if self._ripe:
-            return self._now
-        calendar = self._calendar
-        if calendar is None:
-            return self._queue[0][0] if self._queue else _INF
-        head = calendar.head
-        return head[0] if head is not None else _INF
-
     # -- scheduling ----------------------------------------------------------
-
-    def _push(self, at: float, action: typing.Callable[[], None]) -> None:
-        entry = (at, next(self._sequence), action)
-        if self._calendar is None:
-            heapq.heappush(self._queue, entry)
-        else:
-            self._calendar.push(entry)
-
-    def _push_now(self, action: typing.Callable[[], None]) -> None:
-        self._ripe.append((next(self._sequence), action))
 
     def _schedule_callback(self, action: typing.Callable[[], None],
                            delay: float = 0.0) -> None:
@@ -392,11 +185,8 @@ class Simulator:
         if delay == 0.0:
             self._ripe.append((next(self._sequence), action))
         else:
-            entry = (self._now + delay, next(self._sequence), action)
-            if self._calendar is None:
-                heapq.heappush(self._queue, entry)
-            else:
-                self._calendar.push(entry)
+            heapq.heappush(self._queue, (
+                self._now + delay, next(self._sequence), action))
 
     def _schedule_event_dispatch(self, event: Event) -> None:
         self._ripe.append((next(self._sequence), event._dispatch))
@@ -411,43 +201,13 @@ class Simulator:
         """An event that succeeds *delay* seconds from now."""
         if delay < 0:
             raise ValueError(f"negative timeout {delay!r}")
-        calendar = self._calendar
-        if calendar is None:
-            event = Event(self, name="timeout")
-            # The bound method is the scheduled action when there is no
-            # value to deliver (the common case) — no closure allocation.
-            heapq.heappush(self._queue, (
-                self._now + delay, next(self._sequence),
-                event.succeed if value is None
-                else lambda: event.succeed(value)))
-            return event
-        # Fused dispatch: the entry is the event itself; the run loop
-        # triggers it in place (see _run_fast).  The value rides in the
-        # event, pre-stored — invisible until the trigger flips the
-        # state.  Event.__init__ is inlined: one constructor frame per
-        # timeout is measurable at this call rate.
-        event = Event.__new__(Event)
-        event.sim = self
-        event.name = "timeout"
-        event._state = _PENDING
-        event._value = value
-        event._callbacks = []
-        entry = (self._now + delay, next(self._sequence), event)
-        # calendar.push(entry), inlined for the common future-day
-        # case: this is the per-timeout path.
-        cur = calendar._cur_day
-        day = int(entry[0] * calendar._inv_width)
-        if cur is not None and day > cur:
-            buckets = calendar._buckets
-            bucket = buckets.get(day)
-            if bucket is None:
-                buckets[day] = [entry]
-                heapq.heappush(calendar._days, day)
-            else:
-                bucket.append(entry)
-            calendar._size += 1
-        else:
-            calendar.push(entry)
+        event = Event(self, name="timeout")
+        # The bound method is the scheduled action when there is no
+        # value to deliver (the common case) — no closure allocation.
+        heapq.heappush(self._queue, (
+            self._now + delay, next(self._sequence),
+            event.succeed if value is None
+            else lambda: event.succeed(value)))
         return event
 
     def timeout_at(self, at: float, value: object = None) -> Event:
@@ -461,16 +221,10 @@ class Simulator:
             raise ValueError(f"timeout_at({at!r}) is in the past "
                              f"(now={self._now!r})")
         event = Event(self, name="timeout")
-        calendar = self._calendar
-        if calendar is None:
-            heapq.heappush(self._queue, (
-                at, next(self._sequence),
-                event.succeed if value is None
-                else lambda: event.succeed(value)))
-        else:
-            if value is not None:
-                event._value = value
-            calendar.push((at, next(self._sequence), event))
+        heapq.heappush(self._queue, (
+            at, next(self._sequence),
+            event.succeed if value is None
+            else lambda: event.succeed(value)))
         return event
 
     def call_at(self, at: float, action: typing.Callable[[], None]) -> None:
@@ -486,7 +240,7 @@ class Simulator:
         if at < self._now:
             raise ValueError(f"call_at({at!r}) is in the past "
                              f"(now={self._now!r})")
-        self._push(at, action)
+        heapq.heappush(self._queue, (at, next(self._sequence), action))
 
     def process(self, generator: ProcessGenerator, name: str = "") -> Process:
         """Start a coroutine process running from the current time."""
@@ -494,94 +248,43 @@ class Simulator:
 
     # -- execution -------------------------------------------------------------
 
-    def _trigger_timeout(self, event: Event) -> None:
-        """Trigger a fused timeout entry popped from the calendar.
-
-        Equivalent to the ``event.succeed`` call the slow path schedules
-        (the value was pre-stored at creation), including the error on an
-        event the user already triggered by hand.
-        """
-        if event._state is not _PENDING:
-            raise RuntimeError(f"event {event!r} already triggered")
-        event._state = _SUCCEEDED
-        calendar = self._calendar
-        head = calendar.head  # type: ignore[union-attr]
-        if self._ripe or (head is not None and head[0] <= self._now):
-            # Other actions precede the dispatch at this instant; queue
-            # it in order, exactly as Event.succeed would.
-            self._ripe.append((next(self._sequence), event._dispatch))
-        else:
-            # The dispatch would be the very next action the loop pops —
-            # run the callbacks in place and skip the queue round-trip.
-            callbacks = event._callbacks
-            event._callbacks = None
-            for callback in callbacks:  # type: ignore[union-attr]
-                callback(event)
-
-    def step(self) -> None:
-        """Execute the next scheduled action, advancing the clock."""
-        ripe = self._ripe
-        calendar = self._calendar
-        if calendar is None:
-            queue = self._queue
-            if ripe and not (queue and queue[0][0] <= self._now
-                             and queue[0][1] < ripe[0][0]):
-                _, action = ripe.popleft()
-                action()
-                return
-            at, _, action = heapq.heappop(queue)
-            if at < self._now:
-                raise RuntimeError("time went backwards")  # pragma: no cover
-            self._now = at
-            action()
-            return
-        head = calendar.head
-        if ripe and not (head is not None and head[0] <= self._now
-                         and head[1] < ripe[0][0]):
-            _, action = ripe.popleft()
-            action()
-            return
-        at, _, action = calendar.pop()
-        if at < self._now:
-            raise RuntimeError("time went backwards")  # pragma: no cover
-        self._now = at
-        if action.__class__ is Event:
-            # Single-step mode always routes the dispatch through the
-            # ripe queue: succeed-equivalent, never inlined.
-            if action._state is not _PENDING:
-                raise RuntimeError(f"event {action!r} already triggered")
-            action._state = _SUCCEEDED
-            ripe.append((next(self._sequence), action._dispatch))
-        else:
-            action()
-
     def run(self, until: float | Event | None = None) -> object:
         """Run the simulation.
 
         ``until`` may be ``None`` (run until no actions remain), a time
         (run until the clock would pass it, then set the clock to it), or
-        an :class:`Event` (run until that event triggers and return its
-        value; raise if it failed).
+        an :class:`Event` (run until that event triggers, drain the
+        actions left at that instant, and return its value; raise if it
+        failed).
         """
         if isinstance(until, Event):
-            if self._calendar is None:
-                return self._run_until_event(until)
-            return self._run_until_event_fast(until)
+            self._run(_INF, until)
+            if until._state is _PENDING:
+                raise RuntimeError(
+                    f"simulation ran out of events before {until!r} triggered")
+            # Drain same-instant dispatches so callbacks at this time complete.
+            self._run(self._now)
+            if until._state is _FAILED:
+                raise typing.cast(BaseException, until.value)
+            return until.value
         deadline = _INF if until is None else float(until)
         if deadline < self._now:
             raise ValueError(f"until={deadline} is in the past (now={self._now})")
-        if self._calendar is None:
-            self._run_slow(deadline)
-        else:
-            self._run_fast(deadline)
+        self._run(deadline)
         if deadline != _INF:
             self._now = deadline
         return None
 
-    def _run_slow(self, deadline: float) -> None:
-        """The reference run loop: binary heap, no fused dispatch."""
+    def _run(self, deadline: float, stop: Event | None = None) -> None:
+        """Execute actions in ``(time, sequence)`` order up to *deadline*.
+
+        Ripe actions always run (they sit at the current instant); a heap
+        entry runs when it is due by *deadline*, or ahead of the ripe
+        head when it is due now with a smaller sequence number.  With
+        *stop*, the loop also ends as soon as that event triggers.
+        """
         queue, ripe, heappop = self._queue, self._ripe, heapq.heappop
-        while True:
+        while stop is None or stop._state is _PENDING:
             if ripe:
                 # A heap entry at the current instant with a smaller
                 # sequence number predates the deque head: run it first.
@@ -595,109 +298,3 @@ class Simulator:
             else:
                 break
             action()
-
-    def _run_fast(self, deadline: float, stop: Event | None = None) -> None:
-        """The fast-path run loop: calendar queue plus fused dispatch.
-
-        A popped entry whose action is an :class:`Event` is a timeout.
-        It is triggered here, and when its dispatch would be the very
-        next action anyway (nothing ripe, no other entry at this
-        instant) the callbacks run inline — same execution sequence as
-        the reference loop, minus a queue round-trip per timeout.
-
-        With *stop*, the loop additionally ends as soon as that event
-        triggers (run-until-event mode; the caller drains the remaining
-        same-instant actions).
-        """
-        calendar, ripe = self._calendar, self._ripe
-        sequence = self._sequence
-        heappop = heapq.heappop
-        while stop is None or stop._state is _PENDING:
-            head = calendar.head  # type: ignore[union-attr]
-            if ripe:
-                if head is not None and head[0] <= self._now \
-                        and head[1] < ripe[0][0]:
-                    action = None
-                else:
-                    _, action = ripe.popleft()
-            elif head is not None and head[0] <= deadline:
-                action = None
-            else:
-                break
-            if action is None:
-                # calendar.pop(), inlined: this is the per-event path.
-                self._now, _, action = head
-                bucket = calendar._bucket  # type: ignore[union-attr]
-                heappop(bucket)
-                calendar._size -= 1  # type: ignore[union-attr]
-                if bucket:
-                    calendar.head = bucket[0]  # type: ignore[union-attr]
-                else:
-                    calendar._advance()  # type: ignore[union-attr]
-            if action.__class__ is Event:
-                if action._state is not _PENDING:
-                    raise RuntimeError(
-                        f"event {action!r} already triggered")
-                action._state = _SUCCEEDED
-                head = calendar.head  # type: ignore[union-attr]
-                if ripe or (head is not None and head[0] <= self._now):
-                    ripe.append((next(sequence), action._dispatch))
-                else:
-                    callbacks = action._callbacks
-                    action._callbacks = None
-                    for callback in callbacks:
-                        callback(action)
-            else:
-                action()
-
-    def _run_until_event(self, event: Event) -> object:
-        queue, ripe, heappop = self._queue, self._ripe, heapq.heappop
-        while event._state is _PENDING:
-            if ripe:
-                if queue and queue[0][0] <= self._now \
-                        and queue[0][1] < ripe[0][0]:
-                    self._now, _, action = heappop(queue)
-                else:
-                    _, action = ripe.popleft()
-            elif queue:
-                self._now, _, action = heappop(queue)
-            else:
-                raise RuntimeError(
-                    f"simulation ran out of events before {event!r} triggered")
-            action()
-        # Drain same-instant dispatches so callbacks at this time complete.
-        while ripe or (queue and queue[0][0] <= self._now):
-            if ripe and not (queue and queue[0][0] <= self._now
-                             and queue[0][1] < ripe[0][0]):
-                _, action = ripe.popleft()
-            else:
-                self._now, _, action = heappop(queue)
-            action()
-        if event._state is _FAILED:
-            raise typing.cast(BaseException, event.value)
-        return event.value
-
-    def _run_until_event_fast(self, event: Event) -> object:
-        self._run_fast(_INF, stop=event)
-        if event._state is _PENDING:
-            raise RuntimeError(
-                f"simulation ran out of events before {event!r} triggered")
-        calendar, ripe = self._calendar, self._ripe
-        pop = calendar.pop  # type: ignore[union-attr]
-        # Drain same-instant dispatches so callbacks at this time complete.
-        while True:
-            head = calendar.head  # type: ignore[union-attr]
-            due = head is not None and head[0] <= self._now
-            if ripe and not (due and head[1] < ripe[0][0]):
-                _, action = ripe.popleft()
-            elif due:
-                self._now, _, action = pop()
-            else:
-                break
-            if action.__class__ is Event:
-                self._trigger_timeout(action)
-            else:
-                action()
-        if event._state is _FAILED:
-            raise typing.cast(BaseException, event.value)
-        return event.value

@@ -137,50 +137,14 @@ class TestIncrementalFairShare:
         assert collect(incremental=True) == collect(incremental=False)
 
 
-class TestVectorizedKernel:
-    """The numpy kernel (``_fill_vec``) against the reference fill.
-
-    Real serving components rarely reach ``_VEC_MIN_FLOWS`` flows, so the
-    seeded sweep above exercises the scalar kernel almost exclusively;
-    these tests force the vectorized path explicitly.
-    """
-
-    def test_forced_vectorized_kernel_matches_reference(self, flow_seed,
-                                                        monkeypatch):
-        """The seeded differential sweep with the dispatch threshold
-        dropped to 2: every multi-flow component runs the numpy kernel."""
-        import repro.simkit.links as links_module
-
-        monkeypatch.setattr(links_module, "_VEC_MIN_FLOWS", 2)
-        calls = []
-        original = FlowNetwork._fill_vec
-
-        def counting(self, *args, **kwargs):
-            calls.append(1)
-            return original(self, *args, **kwargs)
-
-        monkeypatch.setattr(FlowNetwork, "_fill_vec", counting)
-        rng = random.Random(0xF10 + flow_seed)
-        sim = Simulator()
-        network = FlowNetwork(sim, incremental=True)
-        auditor = _RateAuditor(network)
-        network.observer = auditor
-        links = _random_topology(rng)
-        for k in range(rng.randint(2, 6)):
-            sim.process(
-                _driver(sim, network, links,
-                        random.Random(flow_seed * 1000 + k),
-                        transfers=rng.randint(3, 10)),
-                name=f"driver{k}")
-        sim.run()
-        assert not network.active_flows
-        assert auditor.comparisons > 0
-        assert calls, "the vectorized kernel never ran"
+class TestLargeComponent:
+    """The flat-array kernel on one large, non-uniform component, against
+    the reference fill."""
 
     def test_large_component_matches_reference(self):
-        """A component big enough to cross ``_VEC_MIN_FLOWS`` naturally,
-        with mixed weights and caps so the non-uniform (memo-bypassing)
-        kernel path runs on every rebalance."""
+        """A 64-flow component on one shared uplink, with mixed weights
+        and caps so the non-uniform (memo-bypassing) kernel path runs on
+        every rebalance."""
         rng = random.Random(0xB16)
         sim = Simulator()
         network = FlowNetwork(sim, incremental=True)

@@ -153,3 +153,49 @@ class TestRun:
     def test_run_empty_simulation(self, sim):
         sim.run()
         assert sim.now == 0.0
+
+
+class TestOrdering:
+    """The ``(time, sequence)`` rules the run loop keeps."""
+
+    def test_equal_time_call_at_runs_in_registration_order(self, sim):
+        order = []
+        for label in ("a", "b", "c", "d"):
+            sim.call_at(2.0, lambda label=label: order.append(label))
+        sim.call_at(1.0, lambda: order.append("early"))
+        sim.run()
+        assert order == ["early", "a", "b", "c", "d"]
+        assert sim.now == 2.0
+
+    def test_due_heap_entry_with_lower_sequence_runs_before_ripe(self, sim):
+        order = []
+
+        def at_one():
+            # Zero-delay callbacks registered now carry later sequence
+            # numbers than the second entry already due at t=1.
+            order.append("first")
+            sim._schedule_callback(lambda: order.append("ripe"))
+
+        sim.call_at(1.0, at_one)
+        sim.call_at(1.0, lambda: order.append("second"))
+        sim.run()
+        assert order == ["first", "second", "ripe"]
+
+    def test_run_until_event_drains_same_instant_actions(self, sim):
+        stop = sim.event()
+        order = []
+        sim.call_at(1.0, lambda: stop.succeed("stopped"))
+        sim.call_at(1.0, lambda: order.append("same instant"))
+        sim.call_at(2.0, lambda: order.append("later"))
+        stop.add_callback(lambda event: order.append("callback"))
+        assert sim.run(stop) == "stopped"
+        assert sim.now == 1.0
+        assert order == ["same instant", "callback"]
+        sim.run()
+        assert order == ["same instant", "callback", "later"]
+
+    def test_hand_triggered_timeout_raises_when_due(self, sim):
+        timeout = sim.timeout(1.0)
+        timeout.succeed("early")
+        with pytest.raises(RuntimeError, match="already triggered"):
+            sim.run()
