@@ -7,13 +7,10 @@ while wall-clock time falls as spawn-backed shards split the
 discrete-event work across cores.
 
 The default run uses a 16-machine fleet so the sweep finishes in
-seconds; ``REPRO_FULL=1`` scales to the 100-machine synthetic replay of
-the issue's acceptance criterion, where the 4-shard pipelined process
-backend must clear a 3x speedup over the single-process reference.  The
-sweep also runs the 4-shard process backend in lock-step mode to
-isolate the pipelining contribution (route-ahead lets the broker plan
-epoch k+1 while the workers execute epoch k).  The speedup bar is
-asserted only when the host exposes at least 4 CPUs — on fewer cores
+seconds; ``REPRO_FULL=1`` scales to a 100-machine synthetic replay,
+where the 4-shard process backend must clear a 3x speedup over the
+single-process reference.  The speedup bar is asserted only when the
+host exposes at least 4 CPUs — on fewer cores
 the spawn workers time-slice one core and the sweep still proves
 bit-identity, but a parallel speedup is physically unavailable.
 
@@ -71,51 +68,43 @@ def scenario():
 
 def test_ablation_sharded_replay(benchmark, emit):
     config, catalog, requests, faults = scenario()
-    sweep = [(1, "serial", True), (2, "serial", True), (4, "serial", True),
-             (2, "process", True), (4, "process", False),
-             (4, "process", True)]
+    sweep = [(1, "serial"), (2, "serial"), (4, "serial"),
+             (2, "process"), (4, "process")]
 
     def run():
         results = []
-        for num_shards, backend, pipelined in sweep:
+        for num_shards, backend in sweep:
             # 250 ms epochs: work per boundary dominates the epoch
             # exchange.  The epoch grid is part of the protocol, so it
-            # is held constant across the sweep; ``pipelined`` is not —
-            # both drive modes execute the same route-ahead protocol
-            # and must land on identical outcomes.
+            # is held constant across the sweep.
             replay = ShardedReplay(p3_8xlarge(), config, ShardConfig(
                 num_shards=num_shards, backend=backend,
-                epoch_length=0.250, pipelined=pipelined))
+                epoch_length=0.250))
             replay.deploy(catalog)
             start = time.perf_counter()
             report = replay.run(requests, fault_schedule=faults)
-            results.append((num_shards, backend, pipelined,
+            results.append((num_shards, backend,
                             time.perf_counter() - start, report))
         return results
 
     results = run_once(benchmark, run)
 
-    reference = results[0][4]
+    reference = results[0][3]
     signature = reference.outcome_signature()
-    for num_shards, backend, pipelined, _, report in results[1:]:
-        mode = "pipelined" if pipelined else "lock-step"
+    for num_shards, backend, _, report in results[1:]:
         assert report.outcome_signature() == signature, (
-            f"{num_shards}-shard {backend} ({mode}) replay diverged "
-            f"from the single-process reference")
+            f"{num_shards}-shard {backend} replay diverged from the "
+            f"single-process reference")
         assert report.ledger == reference.ledger
 
-    base_wall = results[0][3]
+    base_wall = results[0][2]
     rows = []
-    for num_shards, backend, pipelined, wall, report in results:
-        label = f"{num_shards}x {backend}"
-        if backend == "process" and not pipelined:
-            label += " lock-step"
-        rows.append([label, wall,
+    for num_shards, backend, wall, report in results:
+        rows.append([f"{num_shards}x {backend}", wall,
                      base_wall / wall, report.epochs,
                      report.completed, report.ledger.retries,
                      report.ledger.dropped])
-    speedups = {(s, b, p): base_wall / w
-                for s, b, p, w, _ in results}
+    speedups = {(s, b): base_wall / w for s, b, w, _ in results}
     cpus = available_cpus()
     blocks = [
         format_table(
@@ -126,9 +115,7 @@ def test_ablation_sharded_replay(benchmark, emit):
                   f"{len(requests)} requests; outcomes bit-identical "
                   f"across the sweep)"),
         f"4-shard process speedup over the single-process reference: "
-        f"{speedups[(4, 'process', True)]:.2f}x pipelined, "
-        f"{speedups[(4, 'process', False)]:.2f}x lock-step "
-        f"({cpus} CPU(s) available)",
+        f"{speedups[(4, 'process')]:.2f}x ({cpus} CPU(s) available)",
     ]
     emit("ablation_sharded", "\n\n".join(blocks))
 
@@ -152,7 +139,7 @@ def test_ablation_sharded_replay(benchmark, emit):
     assert recovered.outcome_signature() == signature, (
         "crash-injected replay diverged from the crash-free reference")
     assert recovered.worker_restarts == 2
-    crash_free_wall = results[3][3]  # the (2, process, pipelined) run
+    crash_free_wall = results[3][2]  # the (2, process) run
     emit("ablation_sharded_chaos",
          f"crash recovery: 2 injected kills -> "
          f"{recovered.worker_restarts} restarts, "
@@ -163,12 +150,12 @@ def test_ablation_sharded_replay(benchmark, emit):
 
     if full_scale() and cpus >= 4:
         # Acceptance criterion: >3x at 4 shards on the 100-machine
-        # synthetic replay, with route-ahead pipelining and the
+        # synthetic replay, with route-ahead streaming and the
         # columnar wire protocol.  The scaled-down default is dominated
         # by spawn startup, and hosts with fewer than 4 CPUs time-slice
         # the workers, so the bar applies to the full-size run on
         # adequate hardware only.
-        assert speedups[(4, "process", True)] > 3.0
+        assert speedups[(4, "process")] > 3.0
 
 
 #: Runs in a fresh interpreter, as a spawned worker does: import the

@@ -167,7 +167,7 @@ def measure_plan_throughput(rounds: int = 12) -> dict:
 
 
 def measure_shard_replay(num_requests: int = 1200) -> dict:
-    """Sharded replay throughput: 2-shard pipelined epoch engine.
+    """Sharded replay throughput: 2-shard route-ahead epoch engine.
 
     Serial backend, so the probe measures the epoch pipeline itself —
     route-ahead planning, broker routing, adaptive epoch

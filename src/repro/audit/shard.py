@@ -114,9 +114,9 @@ def reconcile(global_ledger: GlobalLedger,
 
     ``submitted == completed + shed + dropped + pending + in_transit +
     in_flight`` must hold at every boundary.  *in_transit* counts
-    deliveries the broker has already routed ahead (the pipelined
-    epoch's commands) that no shard ledger has recorded yet; under the
-    lock-step v1 protocol it was identically zero.  At quiesce
+    deliveries the broker has already routed ahead (the next epoch's
+    commands, streamed to the shards while the current epoch is still
+    being collected) that no shard ledger has recorded yet.  At quiesce
     *pending*, *in_transit* and the shards' in-flight counts are all
     zero, reducing the law to the familiar
     ``submitted == completed + shed + dropped``.

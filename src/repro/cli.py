@@ -141,11 +141,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         choices=("serial", "process"),
                         help="serial = in-process oracle; process = one "
                              "spawn worker per shard")
-    replay.add_argument("--lockstep", action="store_true",
-                        help="disable route-ahead pipelining (issue each "
-                             "epoch only after the previous one is "
-                             "collected; outcomes are identical either "
-                             "way)")
     replay.add_argument("--adaptive-epochs", action="store_true",
                         help="grow/shrink the epoch length with observed "
                              "work (deterministic; changes the epoch grid "
@@ -192,7 +187,7 @@ def _build_parser() -> argparse.ArgumentParser:
                              "with --chaos-workers")
     replay.add_argument("--worker-timeout", type=float, default=30.0,
                         help="supervision deadline in seconds per worker "
-                             "pipe interaction (0 disables supervision)")
+                             "pipe interaction (must be positive)")
     replay.add_argument("--max-worker-restarts", type=int, default=3,
                         help="respawn budget per worker before the "
                              "replay fails (or falls back)")
@@ -454,8 +449,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             (args.requests / max(args.rate, 1.0)) / (args.epoch_ms * MS))))
         chaos += random_chaos_plan(
             args.chaos_workers, args.shards, max_epoch, seed=args.seed,
-            stall_duration=(1.5 * args.worker_timeout
-                            if args.worker_timeout > 0 else 1.0))
+            stall_duration=1.5 * args.worker_timeout)
     if chaos and args.backend != "process":
         print("chaos injection targets worker processes; use "
               "--backend process", file=sys.stderr)
@@ -490,7 +484,7 @@ def _run_replay(args: argparse.Namespace, chaos: tuple) -> int:
         audit=args.audit,
         # The cold-start circuit breaker is a continuous-time control
         # loop the epoch broker does not replicate; ShardedReplay
-        # rejects configs that enable it.
+        # rejects configs that enable it under device faults.
         breaker_cooldown=0.0,
     )
 
@@ -499,7 +493,6 @@ def _run_replay(args: argparse.Namespace, chaos: tuple) -> int:
         replay = ShardedReplay(spec, config, ShardConfig(
             num_shards=num_shards, backend=backend,
             epoch_length=args.epoch_ms * MS,
-            pipelined=not args.lockstep,
             adaptive_epochs=args.adaptive_epochs,
             worker_timeout=args.worker_timeout,
             # An N-event chaos plan may concentrate on one shard, so

@@ -5,8 +5,8 @@ as the reference implementations; it exists purely to cut wall-clock
 time.  It switches three things:
 
 * the flow engine (:mod:`repro.simkit.links`): incremental per-component
-  rebalancing with the flat-array fill kernel and the path-class census
-  memo, instead of a from-scratch dict-based refill of every component;
+  rebalancing with the flat-array fill kernel, instead of a from-scratch
+  dict-based refill of every component;
 * the planner: the memoized Algorithm-1 timeline;
 * the default plan cache of :class:`~repro.core.deepplan.DeepPlan`.
 

@@ -13,11 +13,11 @@ fault schedule and the epoch grid — never of how machines are grouped
 into shards — which is what lets the serial execution of this same
 protocol serve as the differential oracle for the parallel one.
 
-Route-ahead accounting: under the pipelined protocol the broker routes
-epoch ``k+1`` *before* ingesting epoch ``k``'s outcomes, so its
-outstanding charges temporarily include deliveries no shard ledger has
-seen.  :meth:`EpochBroker.route_epoch` books each epoch's per-machine
-routed counts into a preflight queue; :meth:`in_transit_for` /
+Route-ahead accounting: the broker routes epoch ``k+1`` *before*
+ingesting epoch ``k``'s outcomes, so its outstanding charges
+temporarily include deliveries no shard ledger has seen.
+:meth:`EpochBroker.route_epoch` books each epoch's per-machine routed
+counts into a preflight queue; :meth:`in_transit_for` /
 :attr:`in_transit_total` expose the not-yet-ingested portion for the
 conservation checks, and the coordinator calls :meth:`retire_epoch`
 once an epoch's outcomes have been folded back in.
@@ -27,7 +27,9 @@ policies (round-robin, least-loaded, affinity).  Autoscaling, standby
 activation and the cold-start circuit breaker are continuous-time
 control loops on the single-simulator path and are deliberately not
 replicated here — :class:`~repro.shard.replay.ShardedReplay` rejects
-configurations that enable them.
+configurations that enable them.  The breaker is rejected only when
+the fault schedule holds a device fault: it trips on degraded cold
+starts, which nothing else can cause.
 """
 
 from __future__ import annotations

@@ -24,7 +24,13 @@ A fifth, out-of-band kind carries no simulation state: heartbeat frames
 (:func:`pack_heartbeat`) are sent by a worker when it dequeues an epoch
 command, so the coordinator's supervision layer
 (:mod:`repro.shard.supervision`) can tell a busy worker from a wedged
-one without ever blocking unbounded on a pipe.
+one without ever blocking unbounded on a pipe.  Every receive is
+supervised: :attr:`ShardConfig.worker_timeout` must be positive.
+
+The coordinator streams epoch ``k+1``'s commands while epoch ``k`` is
+still executing (the route-ahead schedule, :mod:`repro.shard.replay`),
+so a worker's pipe may hold the next command before it reports the
+current outcome; a worker handles commands strictly in arrival order.
 
 Lookahead discipline: a message created by routing at epoch boundary
 ``k·E`` is never due before ``k·E + router_latency``, and failures
@@ -96,14 +102,6 @@ class ShardConfig:
     #: Hard cap on epochs (defends against a schedule that can never
     #: quiesce; generous because epochs are short).
     max_epochs: int = 2_000_000
-    #: Stream each epoch's commands to the workers as soon as routing
-    #: decides them (the route-ahead pipeline), so a worker starts its
-    #: next epoch without waiting for slower shards to finish theirs.
-    #: ``False`` holds every command until the previous epoch's
-    #: outcomes are all collected — the lock-step reference schedule.
-    #: Both settings execute the identical routing protocol and produce
-    #: bit-identical outcomes; the flag only moves wall-clock work.
-    pipelined: bool = True
     #: Adapt ``epoch_length`` between the lookahead floor
     #: (``router_latency``) and ``max_epoch_length`` so each epoch
     #: carries roughly ``epoch_work_target`` protocol events.  The
@@ -123,7 +121,7 @@ class ShardConfig:
     #: classified wedged (:class:`~repro.shard.supervision.WorkerTimeoutError`)
     #: and killed.  The worker heartbeats when it dequeues each epoch
     #: command, so the deadline effectively bounds one epoch's wall
-    #: time.  ``0`` disables supervision (legacy blocking receives).
+    #: time.  Must be positive: supervision is always on.
     worker_timeout: float = 60.0
     #: Respawn budget per worker: a crashed/wedged/poisoned worker is
     #: restarted (with bounded exponential backoff) and fast-forwarded
@@ -175,9 +173,10 @@ class ShardConfig:
             raise WorkloadError(
                 f"max_epoch_length ({self.max_epoch_length}) must be at "
                 f"least epoch_length ({self.epoch_length})")
-        if self.worker_timeout < 0:
+        if self.worker_timeout <= 0:
             raise WorkloadError(
-                f"worker_timeout must be >= 0, got {self.worker_timeout}")
+                f"worker_timeout must be positive, got "
+                f"{self.worker_timeout}")
         if self.max_worker_restarts < 0:
             raise WorkloadError(
                 f"max_worker_restarts must be >= 0, got "

@@ -28,19 +28,16 @@ The route-ahead pipeline: because every delivery decided at boundary
 epoch ``k``'s outcomes.  The drive loop therefore plans one epoch
 ahead: routing for boundary ``k`` consumes machine snapshots from
 boundary ``k-1``, and retries of epoch-``k`` failures queue for
-boundary ``k+2``.  Both drive modes execute this same protocol —
-``pipelined=True`` streams the planned epoch's commands to the workers
-immediately and collects outcomes in arrival order (so fast shards
-start epoch ``k+1`` while slow ones finish ``k``), ``pipelined=False``
-holds the commands until all of epoch ``k`` is collected — so their
-outcomes are bit-identical; only the wall-clock overlap differs.
-Outcomes are *ingested* in shard-id order regardless of arrival order,
-keeping the broker's bookkeeping canonical.
+boundary ``k+2``.  There is one drive schedule: the planned epoch's
+commands stream to the workers immediately and outcomes are collected
+in arrival order, so fast shards start epoch ``k+1`` while slow ones
+finish ``k``.  Outcomes are *ingested* in shard-id order regardless of
+arrival order, keeping the broker's bookkeeping canonical.
 
 The process backend is crash-tolerant: every worker interaction runs
-under a supervision deadline (``ShardConfig.worker_timeout``, kept
-honest by heartbeat frames), faults classify into the typed
-:mod:`repro.shard.supervision` hierarchy instead of hangs or raw
+under a supervision deadline (``ShardConfig.worker_timeout``, always
+positive, kept honest by heartbeat frames), faults classify into the
+typed :mod:`repro.shard.supervision` hierarchy instead of hangs or raw
 ``EOFError``, and recoverable faults — death, wedge, poisoned frame —
 trigger a respawn with bounded exponential backoff followed by a
 journal fast-forward to the exact pre-crash boundary.  Because shard
@@ -215,10 +212,10 @@ class ShardedReport:
 class _SerialShard:
     """In-process shard driver (the oracle backend).
 
-    Commands queue and execute lazily at collection, so the pipelined
-    drive can issue epoch ``k+1`` before collecting epoch ``k`` exactly
-    as it does against process workers — a worker process would buffer
-    the command in its pipe the same way.
+    Commands queue and execute lazily at collection, so the drive can
+    issue epoch ``k+1`` before collecting epoch ``k`` exactly as it does
+    against process workers — a worker process would buffer the command
+    in its pipe the same way.
     """
 
     #: In-process shards cannot crash independently of the coordinator,
@@ -408,10 +405,9 @@ class _ProcessShard:
         arrives within ``worker_timeout + extra_grace`` seconds,
         :class:`WorkerProtocolError` on poisoned or out-of-order
         frames, and the resolved worker-side exception for ``error``
-        frames.  A ``worker_timeout`` of 0 disables the deadline.
+        frames.
         """
-        timeout = self._config.worker_timeout
-        deadline = timeout + extra_grace
+        deadline = self._config.worker_timeout + extra_grace
         while True:
             self._pump()
             if self._inbox:
@@ -439,14 +435,10 @@ class _ProcessShard:
                 raise WorkerCrashError(
                     self.shard_id, self._exitcode(),
                     context=f"while the broker waited for {kind!r}")
-            if timeout > 0:
-                waited = time.monotonic() - self._last_signal
-                if waited >= deadline:
-                    raise WorkerTimeoutError(self.shard_id, deadline,
-                                             kind)
-                self._conn.poll(min(_POLL_SLICE, deadline - waited))
-            else:
-                self._conn.poll(None)
+            waited = time.monotonic() - self._last_signal
+            if waited >= deadline:
+                raise WorkerTimeoutError(self.shard_id, deadline, kind)
+            self._conn.poll(min(_POLL_SLICE, deadline - waited))
 
     # -- recovery --------------------------------------------------------------------
 
@@ -469,11 +461,10 @@ class _ProcessShard:
         from filling with unread outcome frames (a bulk resend could
         deadlock both ends on a large journal).  Commands past the
         acked boundary are streamed without waiting, restoring exactly
-        the in-flight state the dead worker had under the pipelined
-        drive.  Each replayed outcome's ledger must match the journal:
-        shard state is a pure function of (init, commands), so any
-        divergence means the bit-identity contract is broken and
-        recovery must not continue.
+        the in-flight state the dead worker had.  Each replayed
+        outcome's ledger must match the journal: shard state is a pure
+        function of (init, commands), so any divergence means the
+        bit-identity contract is broken and recovery must not continue.
         """
         journal = self._journal
         for index, packed in enumerate(journal.commands):
@@ -554,9 +545,8 @@ class _ProcessShard:
         self._pump()
         if self._inbox or self._eof:
             return True
-        timeout = self._config.worker_timeout
-        return (timeout > 0
-                and time.monotonic() - self._last_signal >= timeout)
+        return (time.monotonic() - self._last_signal
+                >= self._config.worker_timeout)
 
     def wait_handle(self) -> typing.Any:
         return self._conn
@@ -631,12 +621,6 @@ class ShardedReplay:
                 "autoscaling is a continuous-time control loop; sharded "
                 "replay does not replicate it — use the single-simulator "
                 "cluster")
-        if config.breaker_cooldown > 0:
-            raise WorkloadError(
-                "the cold-start circuit breaker is a continuous-time "
-                "control loop the epoch broker does not replicate; pass "
-                "breaker_cooldown=0 (the ClusterConfig default enables "
-                "it) or use the single-simulator cluster")
         if shard.num_shards > config.num_machines:
             raise WorkloadError(
                 f"{shard.num_shards} shards need at least that many "
@@ -786,6 +770,17 @@ class ShardedReplay:
         if unknown:
             raise WorkloadError(f"requests target unknown instances: "
                                 f"{sorted(unknown)[:5]}")
+        if self.config.breaker_cooldown > 0 and any(
+                event.action in DEVICE_FAULT_ACTIONS
+                for event in fault_schedule):
+            # The breaker trips only on degraded cold starts, which need
+            # a GPU failure or a degraded link; without one it is inert.
+            raise WorkloadError(
+                "the cold-start circuit breaker is a continuous-time "
+                "control loop the epoch broker does not replicate, and "
+                "this fault schedule holds device faults that can trip "
+                "it; pass breaker_cooldown=0 or use the single-simulator "
+                "cluster")
         try:
             return self._execute(requests, fault_schedule,
                                  self.shard.backend)
@@ -838,7 +833,7 @@ class ShardedReplay:
         Returns ``(horizon, per-shard deliveries, routed count)``.  The
         plan is a pure function of broker state, so the planning
         sequence — including idle fast-forward jumps — is identical for
-        every grouping, backend and drive mode.
+        every grouping and backend.
         """
         if broker.done():
             return None
@@ -892,22 +887,17 @@ class ShardedReplay:
                 return grown
         return epoch_length
 
-    def _collect_epoch(self, shards: list[typing.Any],
-                       pipelined: bool) -> list[EpochOutcome]:
+    @staticmethod
+    def _collect_epoch(shards: list[typing.Any]) -> list[EpochOutcome]:
         """Collect one outcome per shard, sorted by shard id.
 
-        The lock-step drive blocks on each shard in order; the
-        pipelined drive drains whichever shards have reported (the
-        overlap win: unpacking fast shards' outcomes while slow ones
-        still simulate) and sleeps on the pipes only when none are
-        ready.  Under supervision the sleep is sliced so a worker that
+        Drains whichever shards have reported (unpacking fast shards'
+        outcomes while slow ones still simulate) and sleeps on the pipes
+        only when none are ready.  The sleep is sliced so a worker that
         wedges without closing its pipe still trips its deadline
         (``_ProcessShard.poll`` reports deadline expiry as readiness
         and ``collect_epoch`` turns it into recovery or a typed fault).
         """
-        if not pipelined:
-            return [shard.collect_epoch() for shard in shards]
-        supervised = self.shard.worker_timeout > 0
         remaining = dict(enumerate(shards))
         outcomes: list[EpochOutcome] = []
         while remaining:
@@ -920,13 +910,12 @@ class ShardedReplay:
                 multiprocessing.connection.wait(
                     [shard.wait_handle()
                      for shard in remaining.values()],
-                    timeout=_POLL_SLICE if supervised else None)
+                    timeout=_POLL_SLICE)
         outcomes.sort(key=lambda outcome: outcome.shard_id)
         return outcomes
 
     def _drive(self, broker: EpochBroker, shards: list[typing.Any],
                backend: str) -> ShardedReport:
-        pipelined = self.shard.pipelined
         epoch_length = self.shard.epoch_length
         completions: list[Completion] = []
         sheds: list[ShedNotice] = []
@@ -942,19 +931,15 @@ class ShardedReplay:
             for shard, deliveries in zip(shards, per_shard):
                 shard.begin_epoch(horizon, deliveries)
 
-        queue: collections.deque[tuple[float, list[list[Delivery]], int]] \
-            = collections.deque()
-        plan = self._plan_epoch(broker, 0.0, epoch_length, shards)
-        if plan is not None:
+        current = self._plan_epoch(broker, 0.0, epoch_length, shards)
+        if current is not None:
             epochs += 1
-            queue.append(plan)
-            issue(plan)
-        while queue:
-            current = queue[0]
-            horizon = current[0]
+            issue(current)
+        while current is not None:
+            horizon, _, routed = current
             if self.shard.adaptive_epochs:
                 epoch_length = self._adapted_length(
-                    epoch_length, current[2] + last_events)
+                    epoch_length, routed + last_events)
             # Route one epoch ahead of the one in flight: its snapshots
             # date from the boundary *before* `current`'s outcomes.
             nxt = self._plan_epoch(broker, horizon, epoch_length, shards)
@@ -964,10 +949,8 @@ class ShardedReplay:
                     raise WorkloadError(
                         f"replay did not quiesce within "
                         f"{self.shard.max_epochs} epochs")
-                queue.append(nxt)
-                if pipelined:
-                    issue(nxt)
-            outcomes = self._collect_epoch(shards, pipelined)
+                issue(nxt)
+            outcomes = self._collect_epoch(shards)
             for outcome in outcomes:
                 broker.ingest(outcome)
                 completions.extend(outcome.completions)
@@ -982,10 +965,8 @@ class ShardedReplay:
                       outstanding=broker.outstanding_total,
                       in_transit=broker.in_transit_total)
             broker.retire_epoch()
-            queue.popleft()
-            if nxt is not None and not pipelined:
-                issue(nxt)
             horizon_time = horizon
+            current = nxt
         finals = [shard.finish() for shard in shards]
         ledgers = [final.ledger for final in finals]
         reconcile(broker.ledger, ledgers, pending=0, outstanding=0)

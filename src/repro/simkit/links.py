@@ -23,11 +23,10 @@ The fast path runs the fill as a flat-array kernel: links and flows are
 numbered with component-local integers, the flow×link incidence is a
 per-flow index list, and each water-filling iteration freezes a whole
 bottleneck group at once, in the reference fill's float evaluation
-order.  Uniform components (equal weights, no caps) first consult a memo
-keyed by their path-class census.  ``REPRO_SLOW_PATH=1`` (see
-:mod:`repro.fastpath`) refills every component from scratch with the
-original dict-based arithmetic instead — same per-component evaluation
-order, so all paths produce bit-identical rates — and
+order.  ``REPRO_SLOW_PATH=1`` (see :mod:`repro.fastpath`) refills every
+component from scratch with the original dict-based arithmetic instead
+— same per-component evaluation order, so all paths produce
+bit-identical rates — and
 :meth:`FlowNetwork.reference_fair_rates` exposes the original
 whole-network progressive filling for differential testing.
 """
@@ -53,11 +52,6 @@ _EPSILON_BYTES = 1e-3
 _INF = float("inf")
 
 _flow_id = operator.attrgetter("id")
-
-#: Fill-memo capacity (entries).  The memo is cleared, not evicted, when
-#: it fills: component shapes in steady-state serving cycle through a
-#: small working set, so a full memo means the workload shifted.
-_FILL_MEMO_MAX = 8192
 
 
 class Link:
@@ -124,11 +118,6 @@ class Flow:
             i += 1
         self._next_milestone = i
 
-    def next_milestone_bytes(self) -> float | None:
-        if self._next_milestone >= len(self.milestones):
-            return None
-        return self.milestones[self._next_milestone][0] - self.progressed
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Flow #{self.id} {self.remaining:.0f}/{self.nbytes:.0f}B "
                 f"@{self.rate / 1e9:.2f}GB/s>")
@@ -155,12 +144,6 @@ class FlowNetwork:
         if incremental is None:
             incremental = fastpath.enabled()
         self._incremental = incremental
-        #: Path-class census -> per-class rates memo, and the path ->
-        #: class-id intern table backing it (see :meth:`_fill`).  Hits
-        #: are bit-identical replays of an earlier fill of the same
-        #: component shape.
-        self._fill_memo: dict[tuple, dict[int, float]] = {}
-        self._path_class: dict[tuple[Link, ...], int] = {}
         #: Optional audit hook (see :mod:`repro.audit`).  When set, it
         #: receives ``on_flow_started(flow)``, ``on_flow_completed(flow)``
         #: and ``on_rates_assigned(network)`` callbacks; ``None`` (the
@@ -260,8 +243,6 @@ class FlowNetwork:
         bandwidth = float(bandwidth)
         if bandwidth == link.bandwidth:
             return
-        # Memoized allocations assumed the old capacities.
-        self._fill_memo.clear()
         self._settle()
         link.bandwidth = bandwidth
         flows = self._link_flows.get(link)
@@ -389,19 +370,21 @@ class FlowNetwork:
             link_flows = self._link_flows
             for link in started.path:
                 if len(link_flows[link]) > 1:
-                    self._fill_component(self._component_of((started,)))
+                    self._fill(sorted(self._component_of((started,)),
+                                      key=_flow_id))
                     break
             else:
                 self._fill((started,))
         elif seeds:
-            self._fill_component(self._component_of(seeds))
+            self._fill(sorted(self._component_of(seeds), key=_flow_id))
         # else: nothing started or finished (milestone-only wake-up) —
         # the allocation is already the fair one; skip the fill entirely.
         if self.observer is not None:
             self.observer.on_rates_assigned(self)
         token = self._timer_token
-        # _bytes_to_next_event over every active flow, inlined: the wait
-        # is the min over flows of bytes-to-next-event / rate.  Most
+        # The wait is the min over flows of bytes-to-next-event / rate,
+        # where the next event is completion or the next milestone
+        # crossing (a milestone distance of 0.0 is a real target).  Most
         # flows carry no milestones, so each is a pair of attribute loads
         # and a divide.
         wait = _INF
@@ -439,19 +422,6 @@ class FlowNetwork:
                 # and therefore settled progress, actually advances.
                 wait = math.ulp(now)
             sim._schedule_callback(lambda: self._on_timer(token), wait)
-
-    @staticmethod
-    def _bytes_to_next_event(flow: Flow) -> float:
-        """Bytes until *flow* completes or crosses its next milestone.
-
-        A pending milestone distance of ``0.0`` is a real target (the
-        milestone sits exactly at the current progress offset), so it must
-        not be collapsed into "no milestone" by truthiness.
-        """
-        to_milestone = flow.next_milestone_bytes()
-        if to_milestone is None:
-            return flow.remaining
-        return min(flow.remaining, to_milestone)
 
     def _component_of(self, seeds: typing.Iterable[Flow]) -> set[Flow]:
         """Active flows connected to *seeds* through chains of shared links.
@@ -511,39 +481,6 @@ class FlowNetwork:
     # frozen flow's rate is subtracted from its path links in path
     # order; per-link load/count bookkeeping follows the same sequence.
 
-    def _fill_component(self, component: set[Flow]) -> None:
-        """Fill one connected component given as an *unordered* set.
-
-        The census pass is order-independent — class counts and the
-        uniformity check read each flow exactly once, and a memo hit
-        assigns one rate per class — so the ascending-id sort that the
-        kernels require is deferred until a kernel actually has to run
-        (a memo miss, a non-uniform component, or the reference path).
-        """
-        if len(component) < 2 or not self._incremental:
-            self._fill(sorted(component, key=_flow_id))
-            return
-        path_class = self._path_class
-        census: dict[int, int] = {}
-        pairs: list[tuple[Flow, int]] = []
-        weight = next(iter(component)).weight
-        for flow in component:
-            if flow.weight != weight or flow.max_rate is not None:
-                break
-            cls = path_class.get(flow.path)
-            if cls is None:
-                cls = path_class[flow.path] = len(path_class)
-            pairs.append((flow, cls))
-            census[cls] = census.get(cls, 0) + 1
-        else:
-            rates = self._fill_memo.get(
-                (weight, tuple(sorted(census.items()))))
-            if rates is not None:
-                for flow, cls in pairs:
-                    flow.rate = rates[cls]
-                return
-        self._fill(sorted(component, key=_flow_id))
-
     def _fill(self, ordered: typing.Sequence[Flow]) -> None:
         """Weighted progressive filling over *ordered* (a closed flow set).
 
@@ -579,53 +516,10 @@ class FlowNetwork:
                 rate = flow.max_rate
             flow.rate = rate
             return
-        if not self._incremental:
-            self._fill_reference(ordered)
-            return
-        # Uniform components — every flow the same weight, nobody capped,
-        # the overwhelmingly common shape in serving replays — allocate
-        # per *path class*: flows with equal paths are interchangeable in
-        # the fill (equal weights make every load sum and every freeze
-        # subtraction an identical float regardless of flow order), so
-        # the allocation is a pure function of the path-class census.
-        # The census is the memo key; a hit replays a previous fill of
-        # the same census, skipping the kernel entirely.  The memo is
-        # cleared whenever a link capacity changes (see
-        # :meth:`set_link_bandwidth`), which keeps capacities out of the
-        # key on the hot path.
-        path_class = self._path_class
-        classes: list[int] = []
-        census: dict[int, int] = {}
-        weight = ordered[0].weight
-        uniform = True
-        for flow in ordered:
-            if flow.weight != weight or flow.max_rate is not None:
-                uniform = False
-                break
-            cls = path_class.get(flow.path)
-            if cls is None:
-                cls = path_class[flow.path] = len(path_class)
-            classes.append(cls)
-            census[cls] = census.get(cls, 0) + 1
-        if uniform:
-            key = (weight, tuple(sorted(census.items())))
-            memo = self._fill_memo
-            rates = memo.get(key)
-            if rates is not None:
-                for flow, cls in zip(ordered, classes):
-                    flow.rate = rates[cls]
-                return
+        if self._incremental:
             self._fill_small(ordered)
-            value: dict[int, float] = {}
-            for flow, cls in zip(ordered, classes):
-                rate = value.setdefault(cls, flow.rate)
-                if rate != flow.rate:  # pragma: no cover - guards the
-                    return  # per-class-rate invariant; never memo a lie
-            if len(memo) >= _FILL_MEMO_MAX:
-                memo.clear()
-            memo[key] = value
-            return
-        self._fill_small(ordered)
+        else:
+            self._fill_reference(ordered)
 
     def _fill_small(self, ordered: typing.Sequence[Flow]) -> None:
         """Flat-array progressive filling over *ordered*.

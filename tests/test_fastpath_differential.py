@@ -143,8 +143,8 @@ class TestLargeComponent:
 
     def test_large_component_matches_reference(self):
         """A 64-flow component on one shared uplink, with mixed weights
-        and caps so the non-uniform (memo-bypassing) kernel path runs on
-        every rebalance."""
+        and caps so the flat-array kernel's cap and weight handling runs
+        on every rebalance."""
         rng = random.Random(0xB16)
         sim = Simulator()
         network = FlowNetwork(sim, incremental=True)

@@ -481,6 +481,33 @@ class TestCircuitBreaker:
         assert not cluster.router.breaker_open("m0")
         assert cluster.router.breaker_trips == 0
 
+    def test_machine_crashes_never_trip_the_breaker(self, bert):
+        """Only degraded cold starts trip the breaker, and those need a
+        device fault: under machine crashes alone the default cooldown
+        leaves every outcome as it is with the breaker disabled."""
+        def run(cooldown):
+            cluster = self._cluster(bert, breaker_cooldown=cooldown,
+                                    max_retries=3)
+            requests = PoissonWorkload(cluster.instance_names, rate=60.0,
+                                       num_requests=120, seed=1).generate()
+            faults = random_fault_schedule(
+                ["m0", "m1"], 2, requests[-1].arrival_time, seed=1)
+            assert {event.action for event in faults} \
+                == {"crash", "recover"}
+            report = cluster.run(requests, fault_schedule=faults)
+            outcomes = sorted(
+                (r.request_id, r.submitted_at, r.started_at, r.finished_at,
+                 r.cold_start) for r in report.metrics.records)
+            dropped = sorted(r.request_id for r in report.dropped)
+            return (outcomes, dropped, report.retries,
+                    cluster.router.breaker_trips)
+
+        outcomes, dropped, retries, trips = run(5.0)
+        assert trips == 0
+        assert run(0.0) == (outcomes, dropped, retries, 0)
+        # The crashes mattered: requests were retried and dropped.
+        assert retries > 0 and dropped
+
 
 # ---------------------------------------------------------------------------
 # Cluster-level chaos (the issue's acceptance scenario)

@@ -59,9 +59,8 @@ def run_replay(scenario, num_shards, backend="serial", **shard_kwargs):
 class TestChaosDifferential:
     """Crash-injected runs must reproduce the oracle bit for bit."""
 
-    @pytest.mark.parametrize("pipelined", [True, False])
     def test_killed_and_corrupted_workers_recover_bit_identical(
-            self, chaos_seed, pipelined):
+            self, chaos_seed):
         scenario = random_scenario(chaos_seed)
         num_shards = min(2, scenario[0].num_machines)
         oracle = run_replay(scenario, 1)
@@ -71,11 +70,11 @@ class TestChaosDifferential:
                                   seed=chaos_seed,
                                   kinds=("kill", "corrupt"))
         report = run_replay(scenario, num_shards, backend="process",
-                            pipelined=pipelined, chaos=chaos,
-                            max_worker_restarts=len(chaos), **FAST)
+                            chaos=chaos, max_worker_restarts=len(chaos),
+                            **FAST)
         assert report.outcome_signature() == oracle.outcome_signature(), (
             f"chaos-injected replay diverged from the crash-free "
-            f"oracle (seed {chaos_seed}, pipelined={pipelined})")
+            f"oracle (seed {chaos_seed})")
         assert report.metrics.histogram == oracle.metrics.histogram
         assert report.ledger == oracle.ledger
         merged = report.merged_histogram()
@@ -151,6 +150,13 @@ class TestTypedFaults:
                        worker_timeout=2.0, restart_backoff=0.01)
         assert time.monotonic() - started < 45.0
         assert isinstance(info.value.__cause__, WorkerTimeoutError)
+
+    @pytest.mark.parametrize("timeout", [0.0, -1.0])
+    def test_supervision_cannot_be_disabled(self, timeout):
+        """Every worker receive is deadline-bounded: there is no
+        unsupervised mode for a wedged worker to hang forever in."""
+        with pytest.raises(WorkloadError, match="worker_timeout"):
+            ShardConfig(worker_timeout=timeout)
 
     def test_serial_fallback_reruns_and_matches_the_oracle(self):
         scenario = random_scenario(6)

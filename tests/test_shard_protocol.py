@@ -1,17 +1,17 @@
-"""Wire-protocol round trips and drive-mode determinism (issue satellites).
+"""Wire-protocol round trips and route-ahead drive determinism.
 
-Two properties of the pipelined shard engine, pinned independently of
+Two properties of the route-ahead shard engine, pinned independently of
 the end-to-end differential oracle:
 
 * **wire level** — the columnar epoch/outcome encoding rebuilds the
   exact dataclasses the serial oracle passes around (float timestamps
   to the last bit, row order verbatim) and rejects frames from a
   different protocol generation outright;
-* **drive level** — pipelined and lock-step drives execute the same
-  route-ahead protocol, so every scenario must produce bit-identical
-  outcome signatures in both modes, with adaptive epochs on or off.
-  (Adaptive epochs define a *different* epoch grid than fixed ones, so
-  comparisons are always same-mode.)
+* **drive level** — the drive streams epoch ``k+1``'s commands before
+  epoch ``k``'s outcomes are in, so every shard count must still land
+  on the 1-shard outcome signature, ledger and epoch count, with
+  adaptive epochs on or off.  (Adaptive epochs define a *different*
+  epoch grid than fixed ones, so comparisons are always same-mode.)
 
 The process-backend case also doubles as the fd-leak regression test:
 back-to-back replays must not accumulate pipe or sentinel descriptors.
@@ -218,38 +218,32 @@ def run_modes(scenario, num_shards, backend="serial", **shard_kwargs):
 
 class TestPipeliningDeterminism:
     @pytest.mark.parametrize("adaptive", [False, True])
-    def test_pipelined_matches_lockstep(self, shard_seed, adaptive):
-        """Route-ahead pipelining is an execution detail, not a protocol
-        change: both drive modes must land on identical outcomes for
-        every shard count, with adaptive epochs on or off."""
+    def test_shard_counts_match(self, shard_seed, adaptive):
+        """Routing ahead is an execution detail, not a protocol change:
+        every shard count must land on the 1-shard reference's outcomes,
+        ledger and epoch count, with adaptive epochs on or off."""
         scenario = random_scenario(shard_seed)
         config = scenario[0]
-        signature = None
+        reference = None
         for num_shards in (1, 2, 4):
             if num_shards > config.num_machines:
                 continue
-            pipelined = run_modes(scenario, num_shards,
-                                  pipelined=True, adaptive_epochs=adaptive)
-            lockstep = run_modes(scenario, num_shards,
-                                 pipelined=False, adaptive_epochs=adaptive)
-            assert (pipelined.outcome_signature()
-                    == lockstep.outcome_signature()), (
-                f"drive modes diverged at {num_shards} shards "
-                f"(seed {shard_seed}, adaptive={adaptive})")
-            assert pipelined.ledger == lockstep.ledger
-            assert pipelined.epochs == lockstep.epochs
-            if signature is None:
-                signature = pipelined.outcome_signature()
-            else:
-                assert pipelined.outcome_signature() == signature, (
-                    f"{num_shards}-shard replay diverged from the "
-                    f"1-shard reference (seed {shard_seed}, "
-                    f"adaptive={adaptive})")
+            report = run_modes(scenario, num_shards,
+                               adaptive_epochs=adaptive)
+            if reference is None:
+                reference = report
+                continue
+            assert (report.outcome_signature()
+                    == reference.outcome_signature()), (
+                f"{num_shards}-shard replay diverged from the 1-shard "
+                f"reference (seed {shard_seed}, adaptive={adaptive})")
+            assert report.ledger == reference.ledger
+            assert report.epochs == reference.epochs
 
     def test_adaptive_epochs_reduce_epoch_count(self):
         """On a sparse tail the adaptive grid must coarsen: fewer epoch
-        boundaries than the fixed grid, same outcomes as its own
-        lock-step twin (checked above), same request terminal set."""
+        boundaries than the fixed grid, same request terminal set (its
+        shard-count invariance is checked above)."""
         scenario = random_scenario(3)
         fixed = run_modes(scenario, 2, adaptive_epochs=False)
         adaptive = run_modes(scenario, 2, adaptive_epochs=True)

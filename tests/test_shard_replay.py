@@ -8,6 +8,8 @@ scenarios (fleet size, replication, policy, load, faults); the nightly
 ``--full-seeds`` run widens it to the issue's 200-seed sweep.
 """
 
+import dataclasses
+
 import numpy
 import pytest
 
@@ -195,11 +197,6 @@ class TestPartitioning:
         with pytest.raises(WorkloadError):
             ShardedReplay(spec, ClusterConfig(
                 num_machines=2, autoscale=AutoscalerConfig()))
-        # The ClusterConfig default enables the cold-start circuit
-        # breaker, which the epoch broker does not replicate — sharded
-        # replay demands an explicit breaker_cooldown=0.
-        with pytest.raises(WorkloadError, match="breaker"):
-            ShardedReplay(spec, ClusterConfig(num_machines=2))
         with pytest.raises(WorkloadError):
             ShardedReplay(spec,
                           ClusterConfig(num_machines=2,
@@ -207,8 +204,6 @@ class TestPartitioning:
                           ShardConfig(num_shards=4))
 
     def test_deploy_rejects_non_zoo_model_specs(self):
-        import dataclasses
-
         from repro.models.zoo import build_model
 
         replay = ShardedReplay(
@@ -227,6 +222,37 @@ class TestPartitioning:
         unknown = dataclasses.replace(zoo_spec, name="not-in-zoo")
         with pytest.raises(WorkloadError, match="not a zoo model"):
             replay.deploy([(unknown, 1)])
+
+    def test_default_breaker_runs_under_machine_crashes(self):
+        """The breaker trips only on degraded cold starts, which need a
+        device fault; with machine crashes alone the ClusterConfig
+        default (``breaker_cooldown=5.0``) is inert and accepted."""
+        config = ClusterConfig(num_machines=3, replication=2, audit=True)
+        assert config.breaker_cooldown > 0
+        catalog = [("bert-base", 2), ("resnet50", 1)]
+        instances = ["bert-base#0", "bert-base#1", "resnet50#0"]
+        requests = PoissonWorkload(instances, rate=60.0, num_requests=120,
+                                   seed=4).generate()
+        faults = random_fault_schedule(["m0", "m1", "m2"], 2,
+                                       requests[-1].arrival_time, seed=4)
+        assert {event.action for event in faults} == {"crash", "recover"}
+        default = run_replay(config, catalog, requests, faults, 2)
+        disabled = run_replay(
+            dataclasses.replace(config, breaker_cooldown=0.0), catalog,
+            requests, faults, 2)
+        assert default.outcome_signature() == disabled.outcome_signature()
+        assert default.ledger.retries > 0
+
+    def test_breaker_rejected_under_device_faults(self):
+        replay = ShardedReplay(p3_8xlarge(),
+                               ClusterConfig(num_machines=2))
+        replay.deploy([("bert-base", 1)])
+        requests = PoissonWorkload(replay.instance_names, rate=40.0,
+                                   num_requests=20, seed=1).generate()
+        faults = [FaultEvent(0.1, "m0", "gpu_fail", gpu=1),
+                  FaultEvent(0.2, "m0", "gpu_recover", gpu=1)]
+        with pytest.raises(WorkloadError, match="breaker"):
+            replay.run(requests, fault_schedule=faults)
 
     def test_epoch_must_cover_router_latency(self):
         with pytest.raises(WorkloadError):
