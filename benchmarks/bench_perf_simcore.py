@@ -28,8 +28,10 @@ Modes (run as a script)::
         (benchmarks/results/perf_prechange.json), and write BENCH_perf.json
         at the repo root.
     python benchmarks/bench_perf_simcore.py --smoke --check
-        Reduced workload; fail if events/sec regresses >30% against
-        benchmarks/results/perf_baseline.json (the CI perf-smoke job).
+        Reduced workload; fail if any of the three ``SMOKE_GATES``
+        metrics — events/sec, flows/sec and shard replay requests/sec —
+        regresses >30% against benchmarks/results/perf_baseline.json
+        (the CI perf-smoke job).
 
 Under ``pytest benchmarks/`` the module contributes a smoke test that
 asserts the fast and slow paths produce identical simulated results.

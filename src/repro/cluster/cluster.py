@@ -11,11 +11,14 @@ Request lifecycle:
 2. the chosen machine's :class:`~repro.serving.server.InferenceServer`
    queues and serves it; a completion callback settles the router's
    backlog charge and records cluster-wide metrics;
-3. if the machine crashes first, the request is orphaned by
-   ``fail_over()`` and retried on a surviving replica after exponential
-   backoff, up to ``max_retries`` times; beyond that it is *dropped* —
-   recorded, counted, and (under audit) proven to terminate the
-   request's lifecycle exactly once.
+3. if the machine crashes first (a
+   :class:`~repro.cluster.faults.FaultInjector` event running
+   :meth:`ClusterMachine.crash <repro.cluster.machine.ClusterMachine.crash>`),
+   the request is orphaned, its router charge settled, and it is retried
+   on a surviving replica after exponential backoff, up to
+   ``max_retries`` times; beyond that it is *dropped* — recorded,
+   counted, and (under audit) proven to terminate the request's
+   lifecycle exactly once.
 """
 
 from __future__ import annotations
@@ -289,82 +292,6 @@ class Cluster:
 
     # -- fleet transitions -------------------------------------------------------------
 
-    def crash_machine(self, name: str) -> bool:
-        """Crash *name*: orphan its work and retry it elsewhere.
-
-        Returns False (no-op) if the machine is not currently running
-        traffic (already down, or standby).
-        """
-        cm = self.machine(name)
-        if cm.state not in (MachineState.ACTIVE, MachineState.DRAINING):
-            return False
-        cm.state = MachineState.DOWN
-        cm.crashes += 1
-        for request in cm.server.fail_over():
-            self.router.settle(cm, request)
-            self._attempt_failed(request, cm.name)
-        return True
-
-    def recover_machine(self, name: str) -> bool:
-        """Bring a crashed machine back into rotation, cold."""
-        cm = self.machine(name)
-        if cm.state is not MachineState.DOWN:
-            return False
-        cm.server.recover()
-        cm.state = MachineState.ACTIVE
-        return True
-
-    # -- device-granular faults --------------------------------------------------------
-
-    def fail_gpu(self, name: str, gpu: int) -> bool:
-        """Fail one GPU on *name*: abort its provisions, rehome its work.
-
-        Unlike a machine crash, the rest of the machine keeps serving —
-        orphans from the dead GPU retry (possibly on the same machine),
-        and in-flight parallel transmissions touching it abort onto the
-        degraded fallback plan.  No-op when the machine is down or the
-        GPU already failed.
-        """
-        cm = self.machine(name)
-        if cm.state is MachineState.DOWN:
-            return False
-        if not cm.machine.fail_gpu(gpu):
-            return False
-        cm.gpu_failures += 1
-        for request in cm.server.handle_gpu_failure(gpu):
-            self.router.settle(cm, request)
-            self._attempt_failed(request, f"{cm.name}/gpu{gpu}")
-        return True
-
-    def recover_gpu(self, name: str, gpu: int) -> bool:
-        """Bring a failed GPU back (cold) on a machine that is not down."""
-        cm = self.machine(name)
-        if cm.state is MachineState.DOWN:
-            return False
-        return cm.machine.recover_gpu(gpu)
-
-    def degrade_link(self, name: str, link: str, factor: float) -> bool:
-        """Degrade one link to *factor* x nominal bandwidth.
-
-        In-flight flows rebalance immediately; parallel transmissions
-        relying on the link abort onto the fallback plan when the factor
-        drops below the server's degraded-link threshold.
-        """
-        cm = self.machine(name)
-        if cm.state is MachineState.DOWN:
-            return False
-        if not cm.machine.degrade_link(link, factor):
-            return False
-        cm.server.handle_link_degradation(cm.machine.link(link))
-        return True
-
-    def restore_link(self, name: str, link: str) -> bool:
-        """Restore a degraded link to nominal bandwidth."""
-        cm = self.machine(name)
-        if cm.state is MachineState.DOWN:
-            return False
-        return cm.machine.restore_link(link)
-
     def activate_standby(self) -> ClusterMachine | None:
         """Turn the next standby active, deploying the full catalog on it.
 
@@ -552,7 +479,6 @@ class Cluster:
             # and back off — a recovery may land before retries run out.
             self._attempt_failed(request, "unroutable")
             return
-        self.router.charge(machine, request)
         if self.auditor is not None:
             self.auditor.on_dispatch(request, machine.name)
         machine.server.submit(request)
@@ -584,7 +510,7 @@ class Cluster:
     def _make_on_complete(self, cm: ClusterMachine
                           ) -> typing.Callable[[Request, RequestRecord], None]:
         def on_complete(request: Request, record: RequestRecord) -> None:
-            self.router.settle(cm, request)
+            self.router.routing.settle(cm.name, request.request_id)
             self.metrics.record(record)
             if self.auditor is not None:
                 self.auditor.on_complete(request, cm.name)
@@ -594,11 +520,16 @@ class Cluster:
             self._check_done()
         return on_complete
 
+    def orphaned(self, cm: ClusterMachine, request: Request,
+                 where: str) -> None:
+        """Settle a request *cm* lost, then retry it (the fault-target hook)."""
+        self.router.routing.settle(cm.name, request.request_id)
+        self._attempt_failed(request, where)
+
     def _make_on_orphan(self, cm: ClusterMachine
                         ) -> typing.Callable[[Request], None]:
         def on_orphan(request: Request) -> None:
-            self.router.settle(cm, request)
-            self._attempt_failed(request, cm.name)
+            self.orphaned(cm, request, cm.name)
         return on_orphan
 
     def _make_on_shed(self, cm: ClusterMachine
@@ -606,7 +537,7 @@ class Cluster:
         def on_shed(request: Request) -> None:
             # Shedding is terminal: the deadline is already unmeetable
             # here, and a retry elsewhere would only add queueing delay.
-            self.router.settle(cm, request)
+            self.router.routing.settle(cm.name, request.request_id)
             self.shed.append(request)
             self.metrics.record_shed()
             if self.auditor is not None:

@@ -99,17 +99,21 @@ class FaultInjector:
     against the actual fleet, raising :class:`~repro.errors.WorkloadError`
     on the first unknown target.
 
-    The target is duck-typed: anything exposing ``sim``, ``machine(name)``
-    (returning an object whose ``.machine`` is the hardware
-    :class:`~repro.hw.machine.Machine`) and the six fault actions
-    (``crash_machine``, ``recover_machine``, ``fail_gpu``, ``recover_gpu``,
-    ``degrade_link``, ``restore_link``) can replay a schedule.  Besides
-    :class:`~repro.cluster.cluster.Cluster`, the sharded-replay workers
-    (:mod:`repro.shard`) replay per-shard sub-schedules through this same
-    class, so fault semantics cannot drift between the two paths.
-    Schedules themselves are plain frozen dataclasses — picklable, so a
-    ``spawn``-started worker process can receive its sub-schedule and
-    reconstruct identical behavior.
+    Each event runs the matching transition on the target's
+    :class:`~repro.cluster.machine.ClusterMachine` (``crash``,
+    ``recover``, ``fail_gpu``, ``recover_gpu``, ``degrade_link``,
+    ``restore_link``) — the one implementation of the six fault
+    actions — and hands every request it orphaned to the target.  The
+    target is duck-typed: anything exposing ``sim``, ``machine(name)``
+    (returning the ``ClusterMachine``) and ``orphaned(cm, request,
+    where)`` can replay a schedule.  Besides
+    :class:`~repro.cluster.cluster.Cluster` (which settles the router
+    charge and retries), the sharded-replay workers (:mod:`repro.shard`)
+    replay per-shard sub-schedules through this same class and report
+    each orphan to the broker, so fault semantics cannot drift between
+    the two paths.  Schedules themselves are plain frozen dataclasses —
+    picklable, so a ``spawn``-started worker process can receive its
+    sub-schedule and reconstruct identical behavior.
     """
 
     def __init__(self, cluster: "Cluster | typing.Any",
@@ -146,25 +150,26 @@ class FaultInjector:
             due = base + event.time
             if due > sim.now:
                 yield sim.timeout(due - sim.now)
+            cm = cluster.machine(event.machine_name)
             action = event.action
             if action == "crash":
-                applied = cluster.crash_machine(event.machine_name)
+                orphans = cm.crash()
             elif action == "recover":
-                applied = cluster.recover_machine(event.machine_name)
+                orphans = cm.recover()
             elif action == "gpu_fail":
-                applied = cluster.fail_gpu(event.machine_name,
-                                           typing.cast(int, event.gpu))
+                orphans = cm.fail_gpu(typing.cast(int, event.gpu))
             elif action == "gpu_recover":
-                applied = cluster.recover_gpu(event.machine_name,
-                                              typing.cast(int, event.gpu))
+                orphans = cm.recover_gpu(typing.cast(int, event.gpu))
             elif action == "link_degrade":
-                applied = cluster.degrade_link(
-                    event.machine_name, typing.cast(str, event.link),
-                    typing.cast(float, event.factor))
+                orphans = cm.degrade_link(typing.cast(str, event.link),
+                                          typing.cast(float, event.factor))
             else:
-                applied = cluster.restore_link(event.machine_name,
-                                               typing.cast(str, event.link))
-            self.log.append((event, applied))
+                orphans = cm.restore_link(typing.cast(str, event.link))
+            # Only crashes and GPU failures orphan work, so ``target``
+            # is the machine name or ``<machine>/gpu<k>``.
+            for request in orphans or ():
+                cluster.orphaned(cm, request, event.target)
+            self.log.append((event, orphans is not None))
 
 
 def random_fault_schedule(machine_names: typing.Sequence[str],

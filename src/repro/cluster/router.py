@@ -13,6 +13,15 @@ Three policies, in increasing awareness of serving economics:
   :attr:`~repro.core.plan.ExecutionPlan.provision_penalty`, at which
   point spilling to a cold machine is predicted cheaper than queueing —
   the routing-level analogue of the paper's cold-start/latency trade-off.
+
+:class:`RoutingPolicy` is the one implementation of these policies, the
+``(score, machine name)`` tie-break, the round-robin cursor, the
+warm-vs-cold service estimate and the backlog book the affinity score
+reads.  Two callers feed it a load view — one ``(name, outstanding,
+warm, plan)`` row per candidate, in name order: :class:`Router`
+from a cluster's live machines, and
+:class:`~repro.shard.broker.EpochBroker` from the snapshots shards
+report at epoch boundaries.
 """
 
 from __future__ import annotations
@@ -20,34 +29,81 @@ from __future__ import annotations
 import typing
 
 from repro.cluster.machine import ClusterMachine
+from repro.core.plan import ExecutionPlan
 from repro.errors import WorkloadError
 from repro.serving.workload import Request
 
-__all__ = ["ROUTING_POLICIES", "Router"]
+__all__ = ["ROUTING_POLICIES", "Router", "RoutingPolicy"]
 
 ROUTING_POLICIES = ("round-robin", "least-loaded", "affinity")
 
 
+class RoutingPolicy:
+    """One routing policy plus the per-dispatch backlog book it scores."""
+
+    def __init__(self, policy: str,
+                 machine_names: typing.Iterable[str]) -> None:
+        if policy not in ROUTING_POLICIES:
+            raise WorkloadError(
+                f"unknown routing policy {policy!r}; options: "
+                f"{', '.join(ROUTING_POLICIES)}")
+        self.policy = policy
+        self.cursor = 0
+        #: Estimated seconds of queued + in-flight service per machine,
+        #: the affinity score's backlog (charged on dispatch, settled on
+        #: completion or failure).
+        self.pending_cost = {name: 0.0 for name in machine_names}
+        #: Outstanding charge per (machine, request) dispatch, so settles
+        #: subtract exactly what was charged even if residency changed.
+        self._charges: dict[tuple[str, int], float] = {}
+
+    def choose(self, request_id: int,
+               view: typing.Sequence[tuple[str, int, bool, ExecutionPlan]]
+               ) -> int:
+        """Index of the candidate that serves *request_id*.
+
+        *view* holds one ``(name, outstanding, warm, plan)`` row per
+        candidate, at least one, in name order.  Under ``affinity`` the
+        chosen machine is charged the request's predicted service time.
+        """
+        if self.policy == "round-robin":
+            index = self.cursor % len(view)
+            self.cursor += 1
+            return index
+        if self.policy == "least-loaded":
+            return min([(outstanding, name, i) for i, (name, outstanding, _, _)
+                        in enumerate(view)])[2]
+        # Backlog plus this request's predicted service time: the plan's
+        # warm latency if the instance is resident there, else cold.
+        pending = self.pending_cost
+        _, name, cost, index = min([
+            (pending[name] + (cost := plan.predicted_warm_latency if warm
+                              else plan.predicted_latency), name, cost, i)
+            for i, (name, _, warm, plan) in enumerate(view)])
+        self._charges[(name, request_id)] = cost
+        pending[name] += cost
+        return index
+
+    def settle(self, machine_name: str, request_id: int) -> None:
+        """Remove a dispatch's backlog charge (completion or failure)."""
+        cost = self._charges.pop((machine_name, request_id), 0.0)
+        self.pending_cost[machine_name] = max(
+            0.0, self.pending_cost[machine_name] - cost)
+
+
 class Router:
-    """Stateless-per-request replica selection with backlog accounting."""
+    """Replica selection over a cluster's live machines."""
 
     def __init__(self, machines: typing.Sequence[ClusterMachine],
                  policy: str = "affinity",
                  clock: typing.Callable[[], float] | None = None,
                  breaker_cooldown: float = 0.0) -> None:
-        if policy not in ROUTING_POLICIES:
-            raise WorkloadError(
-                f"unknown routing policy {policy!r}; options: "
-                f"{', '.join(ROUTING_POLICIES)}")
         if breaker_cooldown < 0:
             raise WorkloadError(
                 f"breaker cooldown must be >= 0, got {breaker_cooldown}")
-        self.machines = list(machines)
-        self.policy = policy
-        self._rr_counter = 0
-        #: Outstanding charge per (machine, request) dispatch, so settles
-        #: subtract exactly what was charged even if residency changed.
-        self._charges: dict[tuple[str, int], float] = {}
+        self.routing = RoutingPolicy(policy, (m.name for m in machines))
+        # Name order is the policies' candidate order.
+        self.machines = sorted(machines, key=lambda m: m.name)
         #: Circuit breaker over cold-start routing: a tripped machine (one
         #: with a recent degraded/aborted provision) receives no requests
         #: that would cold-start there for ``breaker_cooldown`` seconds,
@@ -57,19 +113,6 @@ class Router:
         self.breaker_cooldown = breaker_cooldown
         self.breaker_trips = 0
         self._breaker_until: dict[str, float] = {}
-
-    def candidates(self, instance_name: str) -> list[ClusterMachine]:
-        """Routable machines holding a replica of *instance_name*."""
-        return [m for m in self.machines
-                if m.routable and m.has_replica(instance_name)]
-
-    def estimated_service(self, machine: ClusterMachine,
-                          instance_name: str) -> float:
-        """Predicted service time of one request on *machine* right now."""
-        plan = machine.server.plan_of(instance_name)
-        if machine.server.is_warm(instance_name):
-            return plan.predicted_warm_latency
-        return plan.predicted_latency
 
     def trip(self, machine_name: str) -> None:
         """Open the cold-start circuit breaker for one machine."""
@@ -90,39 +133,20 @@ class Router:
 
     def route(self, request: Request) -> ClusterMachine | None:
         """Pick the replica for *request*, or ``None`` if none is up."""
-        candidates = self.candidates(request.instance_name)
+        instance = request.instance_name
+        candidates = [m for m in self.machines
+                      if m.routable and m.has_replica(instance)]
         if not candidates:
             return None
-        candidates.sort(key=lambda m: m.name)
         if self._breaker_until:
             # Breaker-open machines are skipped only for requests that
             # would cold-start there — warm replicas keep their traffic —
             # and only while a replica elsewhere can take the request.
             filtered = [m for m in candidates
-                        if m.server.is_warm(request.instance_name)
+                        if m.server.is_warm(instance)
                         or not self.breaker_open(m.name)]
             if filtered:
                 candidates = filtered
-        if self.policy == "round-robin":
-            choice = candidates[self._rr_counter % len(candidates)]
-            self._rr_counter += 1
-        elif self.policy == "least-loaded":
-            choice = min(candidates,
-                         key=lambda m: (m.outstanding, m.name))
-        else:
-            choice = min(
-                candidates,
-                key=lambda m: (m.pending_cost + self.estimated_service(
-                    m, request.instance_name), m.name))
-        return choice
-
-    def charge(self, machine: ClusterMachine, request: Request) -> None:
-        """Record the estimated backlog this dispatch adds to *machine*."""
-        cost = self.estimated_service(machine, request.instance_name)
-        self._charges[(machine.name, request.request_id)] = cost
-        machine.charge(cost)
-
-    def settle(self, machine: ClusterMachine, request: Request) -> None:
-        """Remove a dispatch's backlog charge (completion or failure)."""
-        cost = self._charges.pop((machine.name, request.request_id), 0.0)
-        machine.settle(cost)
+        return candidates[self.routing.choose(request.request_id, [
+            (m.name, m.server.outstanding, m.server.is_warm(instance),
+             m.server.plan_of(instance)) for m in candidates])]

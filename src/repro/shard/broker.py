@@ -4,9 +4,10 @@ In sharded replay the router stops being a live object on the machines'
 simulator and becomes a message broker that only acts at epoch
 boundaries.  It routes from :class:`~repro.shard.protocol.MachineSnapshot`
 views (machine state, warm set, outstanding count) reported by the
-shards at the previous horizon, maintains its own backlog accounting
-(the ``pending_cost`` charges the affinity policy scores), and applies
-the cluster's retry/backoff/drop ladder to the failures shards report.
+shards at the previous horizon, feeds those views to the cluster's one
+:class:`~repro.cluster.router.RoutingPolicy` (which keeps the backlog
+book the affinity policy scores), and applies the cluster's
+retry/backoff/drop ladder to the failures shards report.
 
 The broker's behavior is a pure function of the request sequence, the
 fault schedule and the epoch grid — never of how machines are grouped
@@ -40,6 +41,7 @@ import heapq
 import typing
 
 from repro.audit.shard import GlobalLedger
+from repro.cluster.router import RoutingPolicy
 from repro.core.deepplan import DeepPlan, Strategy
 from repro.core.plan import ExecutionPlan
 from repro.errors import WorkloadError
@@ -76,7 +78,7 @@ class EpochBroker:
                  machine_names: typing.Sequence[str],
                  max_retries: int, retry_backoff: float,
                  router_latency: float) -> None:
-        self.policy = policy
+        self.routing = RoutingPolicy(policy, machine_names)
         self.max_retries = max_retries
         self.retry_backoff = retry_backoff
         self.router_latency = router_latency
@@ -99,13 +101,10 @@ class EpochBroker:
         # -- mutable routing state --
         self._pending: list[tuple[float, int, PendingRequest]] = []
         self._attempts: dict[int, int] = {}
-        self._rr_counter = 0
         self.snapshots: dict[str, MachineSnapshot] = {
             name: MachineSnapshot(name=name, state="active",
                                   warm=frozenset(), outstanding=0)
             for name in machine_names}
-        self.pending_cost = {name: 0.0 for name in machine_names}
-        self._charges: dict[tuple[str, int], float] = {}
         #: Broker-side outstanding dispatches per machine (charged on
         #: dispatch, settled on completion/failure/shed) — reconciled
         #: against the shards' reported outstanding every epoch.
@@ -192,31 +191,17 @@ class EpochBroker:
         """Drop the oldest preflight entry: its outcomes are ingested."""
         self._preflight.popleft()
 
-    # -- routing (the Router's three policies, over snapshot views) ------------------
-
-    def _estimated_service(self, machine_name: str,
-                           instance_name: str) -> float:
-        plan = self._plans[self._instance_models[instance_name]]
-        if instance_name in self.snapshots[machine_name].warm:
-            return plan.predicted_warm_latency
-        return plan.predicted_latency
+    # -- routing (the Router's policy, over snapshot views) ---------------------------
 
     def _route(self, pending: PendingRequest) -> str | None:
-        candidates = [name for name in self._replicas[pending.instance_name]
-                      if self.snapshots[name].state == "active"]
-        if not candidates:
+        instance = pending.instance_name
+        plan = self._plans[self._instance_models[instance]]
+        view = [(name, self.outstanding[name], instance in snapshot.warm, plan)
+                for name in self._replicas[instance]
+                if (snapshot := self.snapshots[name]).state == "active"]
+        if not view:
             return None
-        if self.policy == "round-robin":
-            choice = candidates[self._rr_counter % len(candidates)]
-            self._rr_counter += 1
-        elif self.policy == "least-loaded":
-            choice = min(candidates,
-                         key=lambda name: (self.outstanding[name], name))
-        else:  # affinity
-            choice = min(candidates, key=lambda name: (
-                self.pending_cost[name] + self._estimated_service(
-                    name, pending.instance_name), name))
-        return choice
+        return view[self.routing.choose(pending.request_id, view)][0]
 
     def route_epoch(self, boundary: float) -> dict[str, list[Delivery]]:
         """Route everything ready at *boundary*; deliveries due later.
@@ -238,10 +223,6 @@ class EpochBroker:
             if machine_name is None:
                 self._attempt_failed(pending, boundary)
                 continue
-            cost = self._estimated_service(machine_name,
-                                           pending.instance_name)
-            self._charges[(machine_name, pending.request_id)] = cost
-            self.pending_cost[machine_name] += cost
             self.outstanding[machine_name] += 1
             bucket[machine_name] = bucket.get(machine_name, 0) + 1
             self._machine_of[pending.request_id] = machine_name
@@ -265,9 +246,7 @@ class EpochBroker:
 
     def _settle(self, request_id: int) -> str:
         machine_name = self._machine_of.pop(request_id)
-        cost = self._charges.pop((machine_name, request_id), 0.0)
-        self.pending_cost[machine_name] = max(
-            0.0, self.pending_cost[machine_name] - cost)
+        self.routing.settle(machine_name, request_id)
         self.outstanding[machine_name] -= 1
         return machine_name
 

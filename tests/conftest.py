@@ -36,6 +36,9 @@ SEED_FIXTURES = {
     # (test_shard_chaos.py; each seed spawns, kills and respawns real
     # worker processes, so the quick subset stays small).
     "chaos_seed": (2, 200),
+    # Router vs epoch-broker load views into the one routing policy
+    # (test_routing_equivalence.py; full count nightly).
+    "routing_seed": (25, 200),
 }
 
 

@@ -108,7 +108,7 @@ class TestRouting:
         penalty = warm.server.plan_of(name).provision_penalty
         # Pile synthetic backlog on the warm machine beyond the penalty:
         # the cold machine becomes the cheaper predicted choice.
-        warm.pending_cost = penalty * 2
+        cluster.router.routing.pending_cost[warm.name] = penalty * 2
         choice = cluster.router.route(
             Request(request_id=0, instance_name=name, arrival_time=0.0))
         assert choice.name == "m0"
@@ -142,17 +142,57 @@ class TestFaultSchedules:
             FaultEvent(1.0, "m0", "explode")
 
     def test_crash_skipped_when_machine_already_down(self, bert):
-        cluster = make_cluster(bert, instances=2)
-        assert cluster.crash_machine("m0")
-        assert not cluster.crash_machine("m0")
-        assert cluster.machines[0].crashes == 1
+        m0 = make_cluster(bert, instances=2).machine("m0")
+        assert m0.crash() == []
+        assert m0.crash() is None
+        assert m0.crashes == 1
 
     def test_recover_requires_down(self, bert):
-        cluster = make_cluster(bert, instances=2)
-        assert not cluster.recover_machine("m0")
-        cluster.crash_machine("m0")
-        assert cluster.recover_machine("m0")
-        assert cluster.machines[0].state is MachineState.ACTIVE
+        m0 = make_cluster(bert, instances=2).machine("m0")
+        assert m0.recover() is None
+        m0.crash()
+        assert m0.recover() == []
+        assert m0.state is MachineState.ACTIVE
+
+
+class TestFaultTransitions:
+    """The six fault actions' apply/skip rules, at their one home."""
+
+    def test_device_actions_skipped_on_down_machine(self, bert):
+        m0 = make_cluster(bert, instances=2, prewarm=False).machine("m0")
+        m0.crash()
+        assert m0.fail_gpu(0) is None
+        assert m0.recover_gpu(0) is None
+        assert m0.degrade_link("gpu0.pcie", 0.2) is None
+        assert m0.restore_link("gpu0.pcie") is None
+        assert m0.gpu_failures == 0
+
+    def test_repeated_device_actions_skipped(self, bert):
+        m0 = make_cluster(bert, instances=2, prewarm=False).machine("m0")
+        assert m0.recover_gpu(3) is None  # healthy GPU
+        assert m0.restore_link("gpu0.pcie") is None  # healthy link
+        assert m0.fail_gpu(3) == []
+        assert m0.fail_gpu(3) is None  # already failed
+        assert m0.gpu_failures == 1
+        assert m0.recover_gpu(3) == []
+        assert m0.degrade_link("gpu0.pcie", 0.2) == []
+        assert m0.degrade_link("gpu0.pcie", 0.2) is None  # no change
+        assert m0.restore_link("gpu0.pcie") == []
+
+    def test_crash_and_gpu_failure_return_their_orphans(self, bert):
+        cluster = make_cluster(bert, instances=2, prewarm=False)
+        first, second = cluster.instance_names
+        m0 = cluster.machine("m0")
+        m0.server.start()
+        for request_id, name in enumerate([first, second, first]):
+            m0.server.submit(Request(request_id=request_id,
+                                     instance_name=name, arrival_time=0.0))
+        home = m0.server.instances[first].home_gpu
+        assert m0.server.instances[second].home_gpu != home
+        orphans = m0.fail_gpu(home)
+        assert [r.request_id for r in orphans] == [0, 2]
+        assert [r.request_id for r in m0.crash()] == [1]
+        assert m0.state is MachineState.DOWN
 
 
 class TestClusterRuns:
@@ -314,4 +354,4 @@ class TestValidation:
     def test_unknown_machine_rejected(self, bert):
         cluster = make_cluster(bert, instances=2)
         with pytest.raises(WorkloadError, match="no machine"):
-            cluster.crash_machine("m99")
+            cluster.machine("m99")

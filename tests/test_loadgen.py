@@ -8,6 +8,7 @@ under an induced stall the closed loop under-reports the tail (the
 coordinated-omission gap) while the open loop does not.
 """
 
+import numpy
 import pytest
 
 from repro.cluster import Cluster, ClusterConfig
@@ -326,3 +327,45 @@ class TestClusterTarget:
         assert report.metrics.goodput \
             == pytest.approx(in_slo / report.offered)
         assert cluster.auditor.check_quiesce() == []
+
+
+class TestReplicaDraw:
+    """Each accepted arrival's replica draw equals ``rng.choice(p=...)``."""
+
+    @staticmethod
+    def _choice_arrivals(cls, seed, duration, chunk_seconds):
+        """The class stream with numpy's ``choice`` as the replica draw."""
+        rng = numpy.random.default_rng([seed, 0])
+        choices = numpy.arange(len(cls.instances))
+        arrivals = []
+        t0 = 0.0
+        while t0 < duration:
+            t1 = min(t0 + chunk_seconds, duration)
+            peak = cls.rate.peak(t0, t1)
+            t = t0
+            while peak > 0:
+                t += rng.exponential(1.0 / peak)
+                if t >= t1:
+                    break
+                if rng.random() * peak <= cls.rate.rate(t):
+                    which = int(rng.choice(choices, p=cls.probabilities))
+                    arrivals.append((t, cls.instances[which]))
+            t0 = t1
+        return arrivals
+
+    @pytest.mark.parametrize("weights", [
+        [1.0],
+        [0.7, 0.1, 0.2],
+        [3.0, 0.0, 1.0, 1.0, 5.0],
+    ])
+    def test_draws_match_numpy_choice(self, weights):
+        # Chunks of 0.7 s straddle the crowd's edges, so thinning rejects.
+        rate = ConstantRate(100.0) + FlashCrowd(start=1.0, duration=1.0,
+                                                magnitude=300.0)
+        cls = TrafficClass("c", rate, [f"i{k}" for k in range(len(weights))],
+                           weights=weights)
+        for seed in range(5):
+            traffic = SyntheticTraffic([cls], seed=seed, chunk_seconds=0.7)
+            got = [(a.time, a.instance) for a in traffic.arrivals(3.0)]
+            assert got == self._choice_arrivals(cls, seed, 3.0, 0.7)
+            assert len(got) > 100

@@ -557,16 +557,6 @@ class TestClusterDegradedServing:
         assert report.retries >= 1
         assert server.instances[names[0]].home_gpu != home
 
-    def test_device_faults_ignored_on_down_machine(self, bert):
-        config = ClusterConfig(num_machines=2, replication=2, prewarm=False)
-        cluster = Cluster(p3_8xlarge(), config)
-        cluster.deploy([(bert, 2)])
-        cluster.crash_machine("m0")
-        assert not cluster.fail_gpu("m0", 0)
-        assert not cluster.degrade_link("m0", "gpu0.pcie", 0.2)
-        assert not cluster.restore_link("m0", "gpu0.pcie")
-        assert not cluster.recover_gpu("m0", 0)
-
     def test_cluster_deadline_conservation_with_shedding(self, bert):
         config = ClusterConfig(num_machines=2, replication=2, prewarm=False,
                                audit=True, deadline=30 * MS)
@@ -644,24 +634,6 @@ class TestFaultValidation:
         with pytest.raises(WorkloadError, match="factor"):
             FaultEvent(1.0, "m0", "link_degrade", link="nvlink2->0",
                        factor=1.5)
-
-    def test_bad_state_events_skipped_not_raised(self, bert):
-        """A schedule whose targets exist but whose state no longer makes
-        sense (double gpu_fail, restore of a healthy link) is applied
-        where possible and skipped elsewhere — and the log shows which."""
-        cluster = self._cluster(bert)
-        name = cluster.instance_names[0]
-        schedule = [
-            FaultEvent(0.001, "m0", "gpu_fail", gpu=3),
-            FaultEvent(0.002, "m0", "gpu_fail", gpu=3),   # already failed
-            FaultEvent(0.003, "m0", "link_restore", link="gpu0.pcie"),
-        ]
-        report = cluster.run([one_request(name)], fault_schedule=schedule)
-        applied = {(e.time, e.action): ok for e, ok in report.fault_log}
-        assert applied[(0.001, "gpu_fail")] is True
-        assert applied[(0.002, "gpu_fail")] is False
-        assert applied[(0.003, "link_restore")] is False
-        assert report.completed == 1
 
     def test_event_target_rendering(self):
         assert FaultEvent(1.0, "m0", "crash").target == "m0"

@@ -13,10 +13,11 @@ import dataclasses
 import numpy
 import pytest
 
-from repro.cluster.cluster import ClusterConfig
+from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.cluster.faults import FaultEvent, random_fault_schedule
 from repro.errors import WorkloadError
 from repro.hw.specs import p3_8xlarge
+from repro.models.zoo import build_model
 from repro.serving.workload import PoissonWorkload, TraceWorkload
 from repro.shard import ShardConfig, ShardedReplay, partition_machines
 from repro.units import MS
@@ -111,6 +112,45 @@ class TestDifferentialOracle:
         assert sum(s.completed for s in report.shard_ledgers) \
             == ledger.completed
         assert sum(s.shed for s in report.shard_ledgers) == ledger.shed
+
+
+class TestContinuousTimeCluster:
+    """One-shard replay against ``Cluster.run`` on fault-free traces.
+
+    With ``epoch_length == router_latency`` the broker dispatches each
+    request one to two router latencies after its arrival, where the
+    cluster's router dispatches on arrival, and it routes from snapshots
+    one epoch old.  The terminal ledgers must agree; per-request latency
+    has no bound (docs/sharding.md, "Against the continuous-time
+    cluster", says why).
+    """
+
+    @pytest.mark.parametrize("prewarm", [False, True])
+    @pytest.mark.parametrize("policy",
+                             ["round-robin", "least-loaded", "affinity"])
+    def test_ledgers_match(self, policy, prewarm):
+        config = ClusterConfig(num_machines=3, replication=2, policy=policy,
+                               prewarm=prewarm, audit=True,
+                               breaker_cooldown=0.0)
+        catalog = [("resnet50", 2), ("bert-base", 2)]
+        cluster = Cluster(p3_8xlarge(), config)
+        names = cluster.deploy([(build_model(model), count)
+                                for model, count in catalog])
+
+        def trace():
+            return PoissonWorkload(names, rate=60.0, num_requests=150,
+                                   seed=3).generate()
+
+        expected = cluster.run(trace())
+        replay = ShardedReplay(p3_8xlarge(), config, ShardConfig(
+            epoch_length=1 * MS, router_latency=1 * MS))
+        assert replay.deploy(catalog) == names
+        report = replay.run(trace())
+        assert (report.ledger.submitted, report.ledger.completed,
+                report.ledger.shed, report.ledger.dropped) == (
+            expected.submitted, expected.completed, len(expected.shed),
+            len(expected.dropped))
+        assert report.ledger.completed == 150
 
 
 class TestProcessBackend:
