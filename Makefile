@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-full perf perf-baseline examples regolden clean
+.PHONY: install test bench bench-full examples regolden clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -17,15 +17,6 @@ bench:
 # point); expect a multi-hour run.
 bench-full:
 	REPRO_FULL=1 $(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-# Wall-clock perf of the simulator itself (see docs/performance.md):
-# full probe suite, fast vs slow path, writes BENCH_perf.json.
-perf:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_perf_simcore.py --emit-bench
-
-# Refresh the perf-smoke baseline (run on the CI reference machine).
-perf-baseline:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_perf_simcore.py --smoke --write-baseline
 
 # Regenerate tests/golden/paper_figures.json after a deliberate
 # cost-model recalibration; review and commit the diff.

@@ -257,11 +257,14 @@ epochs (`repro.shard`), with the router acting as an epoch-boundary
 message broker. Every row of the sweep — any shard count, serial or
 spawn-process backend — reproduces the single-process reference
 bit-for-bit (same request outcomes, same merged latency histograms,
-same conservation ledgers); wall-clock falls as shards spread the
-event-loop work across cores (`REPRO_FULL=1` runs the 100-machine
-replay; the >2x speedup criterion applies on hosts with >= 4 CPUs).
-See `docs/sharding.md` for the epoch protocol and the lookahead
-argument.
+same conservation ledgers). The table's last line gives the 4-shard
+speedup with the CPU count of the host that ran it: at this reduced
+scale, worker start-up and IPC outweigh the event-loop work the shards
+split, so sharding is slower than the reference. `REPRO_FULL=1` runs the
+100-machine replay, where `bench_ablation_sharded.py` asserts a >3x
+speedup at 4 process shards on hosts with at least 4 CPUs; no committed
+artefact measures it yet. See `docs/sharding.md` for the epoch protocol
+and the lookahead argument.
 """),
 ]
 
@@ -289,29 +292,42 @@ else above is out-of-sample behaviour of the calibrated model.
 ## Wall-clock performance
 
 The numbers above are *simulated* milliseconds; how long the simulator
-itself takes to produce them is a separate question. The simulation fast
-path (incremental fair-share rebalancing, Algorithm-1 memoization, plan
-caching — see `docs/performance.md`) runs the Figure 15 trace replay
-~3.2× faster than the pre-change tree with bit-identical simulated
-outputs. `make perf` reproduces the measurement and writes
-`BENCH_perf.json`; CI's perf-smoke job guards against regressions.
+itself takes to produce them is a separate question. `benchmarks/e2e/`
+measures it end to end on four replay workloads — requests per second,
+set-up time and peak memory, with every run's simulated outcomes checked
+against pinned digests (`python3 benchmarks/e2e/run.py`, see
+`benchmarks/e2e/README.md`). The simulation fast path (incremental
+fair-share rebalancing, Algorithm-1 memoization, plan caching — see
+`docs/performance.md`) keeps simulated outputs identical to the
+reference paths; `tests/test_fastpath_differential.py` checks that on
+whole fig13/fig15-style serving replays. A change is compared with its
+parent by paired runs of those workloads (`python
+benchmarks/perf_gate.py BASE`, CI's perf-gate job). The committed
+comparisons, each recording its host's CPU count, are
+`benchmarks/results/*_e2e.txt` and
+`benchmarks/results/perf_gate_validation.txt`.
 """
 
 
-def main() -> None:
+def render() -> str:
+    """The text of EXPERIMENTS.md from the committed result files."""
     parts = [HEADER]
-    missing = []
     for name, title, commentary in SECTIONS:
         path = RESULTS / f"{name}.txt"
         parts.append(f"\n---\n\n## {title}\n{commentary}")
         if path.exists():
             parts.append("```\n" + path.read_text().rstrip() + "\n```\n")
         else:
-            missing.append(name)
             parts.append(f"*(run the benchmarks to generate "
                          f"`benchmarks/results/{name}.txt`)*\n")
     parts.append("\n---\n\n" + FOOTER)
-    TARGET.write_text("".join(parts))
+    return "".join(parts)
+
+
+def main() -> None:
+    TARGET.write_text(render())
+    missing = [name for name, _, _ in SECTIONS
+               if not (RESULTS / f"{name}.txt").exists()]
     status = f"wrote {TARGET}"
     if missing:
         status += f" ({len(missing)} result files missing: {missing})"

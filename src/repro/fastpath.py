@@ -15,8 +15,8 @@ implementation each and do not consult the switch.  Two ways to fall
 back to the reference code paths:
 
 * environment: run with ``REPRO_SLOW_PATH=1``;
-* in-process: ``with fastpath.forced(False): ...`` — used by the perf
-  harness and the differential tests to run both paths side by side.
+* in-process: ``with fastpath.forced(False): ...`` — used by the
+  differential tests to run both paths side by side.
 """
 
 from __future__ import annotations

@@ -14,17 +14,34 @@ implementations, to the bit where the issue demands it.
 * ``TestTimelineMemoEquivalence`` runs Algorithm 1 with and without the
   memoized timeline over seeded random cost tables and requires
   identical decisions and bit-identical latency predictions.
+* ``TestServingReplayIdentity`` serves whole replays — a fig15-style MAF
+  slice under every strategy and an oversubscribed fig13 point — on the
+  default path and with the fast path forced off, and requires equal
+  per-request timelines.
 """
 
 import random
 
 import pytest
 
+from repro import fastpath
+from repro.core import DeepPlan
 from repro.core.plan import ExecMethod, Partition
 from repro.core.planner import LayerExecutionPlanner
 from repro.core.stall import TimelineMemo, compute_timeline
+from repro.hw.machine import Machine
+from repro.hw.specs import p3_8xlarge
+from repro.models import build_model
 from repro.models.costs import LayerCosts
 from repro.models.layers import LayerKind
+from repro.serving import (
+    InferenceServer,
+    MAFTraceConfig,
+    PoissonWorkload,
+    ServerConfig,
+    TraceWorkload,
+    synthesize_maf_trace,
+)
 from repro.simkit import FlowNetwork, Link, Simulator
 
 REL_TOL = 1e-9
@@ -225,3 +242,53 @@ class TestTimelineMemoEquivalence:
             assert memo.total_latency == scratch.total_latency
             for j in range(len(costs)):
                 assert memo.stall_of(j) == scratch.stall_of(j)
+
+
+def _serve(strategy: str, catalog, requests_for):
+    """One serving replay; returns its report.
+
+    Planner, machine and server are built inside the call, so a
+    surrounding ``fastpath.forced`` block governs all of them.
+    """
+    server = InferenceServer(Machine(Simulator(), p3_8xlarge()),
+                             DeepPlan(p3_8xlarge(), noise=0.0),
+                             ServerConfig(strategy=strategy))
+    server.deploy([(build_model(name), count) for name, count in catalog])
+    return server.run(requests_for(list(server.instances)))
+
+
+def _timelines(report) -> list[tuple[int, float, float, bool]]:
+    return [(r.request_id, r.started_at, r.finished_at, r.cold_start)
+            for r in report.metrics.records]
+
+
+class TestServingReplayIdentity:
+    """Whole serving replays are identical with the fast path off."""
+
+    def _both_paths(self, strategy: str, catalog, requests_for):
+        fast = _serve(strategy, catalog, requests_for)
+        with fastpath.forced(False):
+            reference = _serve(strategy, catalog, requests_for)
+        assert _timelines(fast) == _timelines(reference)
+        return fast
+
+    @pytest.mark.parametrize("strategy", ("pipeswitch", "dha", "pt+dha"))
+    def test_maf_slice(self, strategy):
+        """A 20 s fig15-style slice: 4:4:1 BERT/RoBERTa/GPT-2 mix."""
+        config = MAFTraceConfig(duration=20.0, target_rps=150.0, seed=7)
+        report = self._both_paths(
+            strategy, (("bert-base", 64), ("roberta-base", 64), ("gpt2", 16)),
+            lambda names: TraceWorkload(
+                synthesize_maf_trace(names, config).arrivals).generate())
+        assert report.metrics.cold_start_count > 0
+
+    def test_oversubscribed_fig13_point(self):
+        """180 BERT-Base instances at 100 req/s: past the 124 that fit,
+        so cold starts, evictions and parallel transmission all run."""
+        report = self._both_paths(
+            "pt+dha", (("bert-base", 180),),
+            lambda names: PoissonWorkload(names, rate=100.0,
+                                          num_requests=400,
+                                          seed=11).generate())
+        assert report.metrics.cold_start_count > 0
+        assert report.evictions > 0
