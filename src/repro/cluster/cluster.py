@@ -9,8 +9,10 @@ Request lifecycle:
 1. the arrival process stamps ``submitted_at`` and hands the request to
    the :class:`~repro.cluster.router.Router`;
 2. the chosen machine's :class:`~repro.serving.server.InferenceServer`
-   queues and serves it; a completion callback settles the router's
-   backlog charge and records cluster-wide metrics;
+   queues and serves it; the cluster listens to every server's outcomes
+   (``request_completed`` settles the router's backlog charge and
+   records cluster-wide metrics) and reports each terminal outcome —
+   completed, shed or dropped — to its own ``listeners``;
 3. if the machine crashes first (a
    :class:`~repro.cluster.faults.FaultInjector` event running
    :meth:`ClusterMachine.crash <repro.cluster.machine.ClusterMachine.crash>`),
@@ -43,7 +45,11 @@ from repro.hw.machine import Machine
 from repro.hw.specs import MachineSpec
 from repro.models.graph import ModelSpec
 from repro.serving.metrics import DEFAULT_SLO, MetricsCollector, RequestRecord
-from repro.serving.server import InferenceServer, ServerConfig
+from repro.serving.server import (
+    InferenceServer,
+    OutcomeListener,
+    ServerConfig,
+)
 from repro.serving.workload import Request
 from repro.simkit import Event, Simulator
 from repro.units import MS
@@ -186,8 +192,12 @@ class ClusterReport:
         return data
 
 
-class Cluster:
-    """A fleet of serving machines behind one router, on one simulator."""
+class Cluster(OutcomeListener):
+    """A fleet of serving machines behind one router, on one simulator.
+
+    Listens to every machine's server and reports each terminal outcome
+    to its own ``listeners``.
+    """
 
     def __init__(self, spec: MachineSpec,
                  config: ClusterConfig = ClusterConfig(),
@@ -212,6 +222,7 @@ class Cluster:
                        else MachineState.ACTIVE),
                 standby_origin=standby))
         self._by_name = {cm.name: cm for cm in self.machines}
+        self._by_server = {cm.server: cm for cm in self.machines}
         self.router = Router(self.machines, config.policy,
                              clock=lambda: self.sim.now,
                              breaker_cooldown=config.breaker_cooldown)
@@ -233,17 +244,11 @@ class Cluster:
         self.shed: list[Request] = []
         self.retries = 0
         self._failures: collections.Counter[int] = collections.Counter()
-        #: External observers (the open-loop load generator registers
-        #: here to track terminal outcomes of requests it submitted).
-        self._completion_hooks: list[
-            typing.Callable[[Request, RequestRecord], None]] = []
-        self._shed_hooks: list[typing.Callable[[Request], None]] = []
-        self._drop_hooks: list[typing.Callable[[Request], None]] = []
+        #: Subscribers to cluster-level terminal outcomes (the open-loop
+        #: load generator registers here).
+        self.listeners: list[OutcomeListener] = []
         for cm in self.machines:
-            cm.server.add_completion_callback(self._make_on_complete(cm))
-            cm.server.on_orphan = self._make_on_orphan(cm)
-            cm.server.on_shed = self._make_on_shed(cm)
-            cm.server.on_degraded = self._make_on_degraded(cm)
+            cm.server.listeners.append(self)
 
     # -- placement -------------------------------------------------------------------
 
@@ -327,37 +332,6 @@ class Cluster:
         cm.state = MachineState.STANDBY
         cm.server.resume()
 
-    # -- external observers (loadgen) --------------------------------------------------
-
-    def add_completion_callback(
-            self, callback: typing.Callable[[Request, RequestRecord], None]
-    ) -> None:
-        """Call *callback* with each request and its record on completion."""
-        self._completion_hooks.append(callback)
-
-    def remove_completion_callback(
-            self, callback: typing.Callable[[Request, RequestRecord], None]
-    ) -> None:
-        self._completion_hooks.remove(callback)
-
-    def add_shed_callback(self,
-                          callback: typing.Callable[[Request], None]) -> None:
-        """Call *callback* with each request shed by admission control."""
-        self._shed_hooks.append(callback)
-
-    def remove_shed_callback(
-            self, callback: typing.Callable[[Request], None]) -> None:
-        self._shed_hooks.remove(callback)
-
-    def add_drop_callback(self,
-                          callback: typing.Callable[[Request], None]) -> None:
-        """Call *callback* with each request dropped after its last retry."""
-        self._drop_hooks.append(callback)
-
-    def remove_drop_callback(
-            self, callback: typing.Callable[[Request], None]) -> None:
-        self._drop_hooks.remove(callback)
-
     # -- signals ---------------------------------------------------------------------
 
     def windowed_p99(self, window: float,
@@ -400,8 +374,8 @@ class Cluster:
         Stamps ``submitted_at`` when unset and routes the request;
         retries and drop accounting behave exactly as under :meth:`run`.
         Always returns ``True`` — cluster-level terminal outcomes
-        (completion, shed, drop) are asynchronous and reported through
-        the registered callbacks.
+        (completion, shed, drop) are asynchronous and reported to
+        ``listeners``.
         """
         if request.submitted_at is None:
             request.submitted_at = self.sim.now
@@ -492,8 +466,8 @@ class Cluster:
             self.metrics.record_dropped()
             if self.auditor is not None:
                 self.auditor.on_drop(request)
-            for hook in list(self._drop_hooks):
-                hook(request)
+            for listener in self.listeners:
+                listener.request_dropped(self, request)
             self._check_done()
             return
         self.retries += 1
@@ -507,52 +481,45 @@ class Cluster:
         yield self.sim.timeout(delay)
         self._dispatch(request)
 
-    def _make_on_complete(self, cm: ClusterMachine
-                          ) -> typing.Callable[[Request, RequestRecord], None]:
-        def on_complete(request: Request, record: RequestRecord) -> None:
-            self.router.routing.settle(cm.name, request.request_id)
-            self.metrics.record(record)
-            if self.auditor is not None:
-                self.auditor.on_complete(request, cm.name)
-            self._completed += 1
-            for hook in list(self._completion_hooks):
-                hook(request, record)
-            self._check_done()
-        return on_complete
-
     def orphaned(self, cm: ClusterMachine, request: Request,
                  where: str) -> None:
         """Settle a request *cm* lost, then retry it (the fault-target hook)."""
         self.router.routing.settle(cm.name, request.request_id)
         self._attempt_failed(request, where)
 
-    def _make_on_orphan(self, cm: ClusterMachine
-                        ) -> typing.Callable[[Request], None]:
-        def on_orphan(request: Request) -> None:
-            self.orphaned(cm, request, cm.name)
-        return on_orphan
+    # -- server outcomes ---------------------------------------------------------------
 
-    def _make_on_shed(self, cm: ClusterMachine
-                      ) -> typing.Callable[[Request], None]:
-        def on_shed(request: Request) -> None:
-            # Shedding is terminal: the deadline is already unmeetable
-            # here, and a retry elsewhere would only add queueing delay.
-            self.router.routing.settle(cm.name, request.request_id)
-            self.shed.append(request)
-            self.metrics.record_shed()
-            if self.auditor is not None:
-                self.auditor.on_shed(request, cm.name)
-            for hook in list(self._shed_hooks):
-                hook(request)
-            self._check_done()
-        return on_shed
+    def request_completed(self, source: object, request: Request,
+                          record: RequestRecord) -> None:
+        cm = self._by_server[source]
+        self.router.routing.settle(cm.name, request.request_id)
+        self.metrics.record(record)
+        if self.auditor is not None:
+            self.auditor.on_complete(request, cm.name)
+        self._completed += 1
+        for listener in self.listeners:
+            listener.request_completed(self, request, record)
+        self._check_done()
 
-    def _make_on_degraded(self, cm: ClusterMachine
-                          ) -> typing.Callable[[Request], None]:
-        def on_degraded(request: Request) -> None:
-            cm.degraded_provisions += 1
-            self.router.trip(cm.name)
-        return on_degraded
+    def request_orphaned(self, source: object, request: Request) -> None:
+        cm = self._by_server[source]
+        self.orphaned(cm, request, cm.name)
+
+    def request_shed(self, source: object, request: Request) -> None:
+        # Shedding is terminal: the deadline is already unmeetable here,
+        # and a retry elsewhere would only add queueing delay.
+        cm = self._by_server[source]
+        self.router.routing.settle(cm.name, request.request_id)
+        self.shed.append(request)
+        self.metrics.record_shed()
+        if self.auditor is not None:
+            self.auditor.on_shed(request, cm.name)
+        for listener in self.listeners:
+            listener.request_shed(self, request)
+        self._check_done()
+
+    def cold_start_degraded(self, source: object, request: Request) -> None:
+        self.router.trip(self._by_server[source].name)
 
     def _check_done(self) -> None:
         if (self._done is not None and not self._done.triggered

@@ -56,9 +56,6 @@ class ClusterMachine:
     standby_origin: bool = False
     #: Device-granular fault counters (machine-level crashes excluded).
     gpu_failures: int = 0
-    #: Cold starts on this machine that completed on the degraded
-    #: fallback plan (each also trips the router's circuit breaker).
-    degraded_provisions: int = 0
 
     @property
     def routable(self) -> bool:

@@ -35,12 +35,12 @@ from repro.errors import WorkloadError
 from repro.loadgen.traffic import Arrival
 from repro.serving.metrics import MetricsCollector
 from repro.serving.histogram import LatencyHistogram
-from repro.serving.server import InferenceServer
+from repro.serving.server import InferenceServer, OutcomeListener
 from repro.serving.workload import Request
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.serving.metrics import RequestRecord
-    from repro.simkit import Event, Simulator
+    from repro.simkit import Event
 
 __all__ = ["LoadGenConfig", "LoadGen", "LoadGenReport"]
 
@@ -115,108 +115,55 @@ class LoadGenReport:
 
 
 class _ServerTarget:
-    """Adapter: drive one InferenceServer."""
+    """What differs when driving one InferenceServer."""
 
     def __init__(self, server: InferenceServer) -> None:
         self.server = server
-        self.sim: "Simulator" = server.sim
-        self.slo = server.config.slo
-        self._on_complete: typing.Callable[
-            [Request, "RequestRecord"], None] | None = None
-        self._prev_on_shed: typing.Callable[[Request], None] | None = None
+        self.servers = [server]
 
     def instance_names(self) -> set[str]:
         return set(self.server.instances)
 
-    def prepare(self, failure_event: "Event") -> None:
+    def prepare(self) -> None:
         if self.server.config.prewarm:
             self.server.prewarm()
         self.server.start()
-        self.server.failure_event = failure_event
-
-    def attach(self,
-               on_complete: typing.Callable[[Request, "RequestRecord"], None],
-               on_shed: typing.Callable[[Request], None],
-               on_drop: typing.Callable[[Request], None]) -> None:
-        self._on_complete = on_complete
-        self.server.add_completion_callback(on_complete)
-        prev = self._prev_on_shed = self.server.on_shed
-
-        def chained(request: Request) -> None:
-            if prev is not None:
-                prev(request)
-            on_shed(request)
-
-        self.server.on_shed = chained
-        # A standalone server never drops: shedding is its only
-        # non-completion terminal outcome.
-
-    def detach(self) -> None:
-        if self._on_complete is not None:
-            self.server.remove_completion_callback(self._on_complete)
-            self._on_complete = None
-        self.server.on_shed = self._prev_on_shed
-        self.server.failure_event = None
-
-    def submit(self, request: Request) -> None:
-        self.server.submit(request)
 
 
 class _ClusterTarget:
-    """Adapter: drive a Cluster through its router."""
+    """What differs when driving a Cluster through its router."""
 
     def __init__(self, cluster: Cluster) -> None:
         self.cluster = cluster
-        self.sim: "Simulator" = cluster.sim
-        self.slo = cluster.config.slo
-        self._callbacks: tuple | None = None
+        self.servers = [cm.server for cm in cluster.machines]
 
     def instance_names(self) -> set[str]:
-        return {name for name, _ in self.cluster._instance_models}
+        return set(self.cluster.instance_names)
 
-    def prepare(self, failure_event: "Event") -> None:
+    def prepare(self) -> None:
         self.cluster.start()
-        for cm in self.cluster.machines:
-            cm.server.failure_event = failure_event
-
-    def attach(self,
-               on_complete: typing.Callable[[Request, "RequestRecord"], None],
-               on_shed: typing.Callable[[Request], None],
-               on_drop: typing.Callable[[Request], None]) -> None:
-        self._callbacks = (on_complete, on_shed, on_drop)
-        self.cluster.add_completion_callback(on_complete)
-        self.cluster.add_shed_callback(on_shed)
-        self.cluster.add_drop_callback(on_drop)
-
-    def detach(self) -> None:
-        if self._callbacks is None:
-            return
-        on_complete, on_shed, on_drop = self._callbacks
-        self.cluster.remove_completion_callback(on_complete)
-        self.cluster.remove_shed_callback(on_shed)
-        self.cluster.remove_drop_callback(on_drop)
-        self._callbacks = None
-        for cm in self.cluster.machines:
-            cm.server.failure_event = None
-
-    def submit(self, request: Request) -> None:
-        self.cluster.submit(request)
 
 
-class LoadGen:
-    """Drives one serving target with one traffic source."""
+class LoadGen(OutcomeListener):
+    """Drives one serving target with one traffic source.
+
+    For the length of :meth:`run` the generator subscribes itself to the
+    target's ``listeners`` to count each submitted request's terminal
+    outcome (completed, shed, or — on a cluster — dropped).
+    """
 
     def __init__(self, target: "InferenceServer | Cluster",
                  traffic: typing.Any, config: LoadGenConfig) -> None:
         if isinstance(target, InferenceServer):
-            self.target: "_ServerTarget | _ClusterTarget" = \
+            self._adapter: "_ServerTarget | _ClusterTarget" = \
                 _ServerTarget(target)
         elif isinstance(target, Cluster):
-            self.target = _ClusterTarget(target)
+            self._adapter = _ClusterTarget(target)
         else:
             raise WorkloadError(
                 f"target must be an InferenceServer or Cluster, "
                 f"got {type(target).__name__}")
+        self.target = target
         if not hasattr(traffic, "arrivals"):
             raise WorkloadError(
                 f"traffic source {type(traffic).__name__} has no "
@@ -239,21 +186,28 @@ class LoadGen:
     def run(self) -> LoadGenReport:
         """Drive the target until every offered request is terminal."""
         sim = self.target.sim
-        metrics = self._metrics = MetricsCollector(slo=self.target.slo)
+        metrics = self._metrics = MetricsCollector(
+            slo=self.target.config.slo)
         self._by_qos = {}
         self._in_flight = self._submitted = 0
         self._completed = self._shed = self._dropped = self._offered = 0
         self._generator_done = False
         self._slot = None
         done = self._done = sim.event(name="loadgen-done")
-        self.target.prepare(done)
-        self.target.attach(self._on_complete, self._on_shed, self._on_drop)
+        self._adapter.prepare()
+        servers = self._adapter.servers
+        prev_failure_events = [server.failure_event for server in servers]
+        for server in servers:
+            server.failure_event = done
+        self.target.listeners.append(self)
         start = sim.now
         sim.process(self._traffic_process(start), name="loadgen")
         try:
             sim.run(done)
         finally:
-            self.target.detach()
+            self.target.listeners.remove(self)
+            for server, event in zip(servers, prev_failure_events):
+                server.failure_event = event
             self._done = None
         # Run the simulator dry so pending phantoms/retries/recoveries in
         # the target quiesce before anyone audits it.
@@ -276,7 +230,7 @@ class LoadGen:
                          ) -> typing.Generator["Event", object, None]:
         sim = self.target.sim
         config = self.config
-        known = self.target.instance_names()
+        known = self._adapter.instance_names()
         arrivals = self.traffic.arrivals(config.duration)
         if config.max_requests is not None:
             arrivals = itertools.islice(arrivals, config.max_requests)
@@ -330,9 +284,10 @@ class LoadGen:
         if self._done is not None and not self._done.triggered:
             self._done.fail(error)
 
-    # -- terminal-outcome callbacks ----------------------------------------------------
+    # -- terminal outcomes -------------------------------------------------------------
 
-    def _on_complete(self, request: Request, record: "RequestRecord") -> None:
+    def request_completed(self, source: object, request: Request,
+                          record: "RequestRecord") -> None:
         assert self._metrics is not None
         self._metrics.record(record)
         qos_hist = self._by_qos.get(record.qos)
@@ -342,13 +297,13 @@ class LoadGen:
         self._completed += 1
         self._settle()
 
-    def _on_shed(self, request: Request) -> None:
+    def request_shed(self, source: object, request: Request) -> None:
         assert self._metrics is not None
         self._metrics.record_shed()
         self._shed += 1
         self._settle()
 
-    def _on_drop(self, request: Request) -> None:
+    def request_dropped(self, source: object, request: Request) -> None:
         assert self._metrics is not None
         self._metrics.record_dropped()
         self._dropped += 1

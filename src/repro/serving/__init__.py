@@ -24,7 +24,8 @@ from repro.serving.maf import MAFTraceConfig, synthesize_maf_trace
 from repro.serving.histogram import LatencyHistogram, merge_histograms
 from repro.serving.metrics import (MIN_TAIL_COUNT, MetricsCollector,
                                    RequestRecord, WindowStats)
-from repro.serving.server import InferenceServer, ServerConfig, ServingReport
+from repro.serving.server import (InferenceServer, OutcomeListener,
+                                  ServerConfig, ServingReport)
 
 __all__ = [
     "InferenceServer",
@@ -36,6 +37,7 @@ __all__ = [
     "MIN_TAIL_COUNT",
     "merge_histograms",
     "ModelInstance",
+    "OutcomeListener",
     "PoissonWorkload",
     "Request",
     "RequestRecord",

@@ -38,7 +38,8 @@ from repro.simkit import Event, Interrupt, Link, Process, Store
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.audit import ServingAuditor
 
-__all__ = ["ServerConfig", "InferenceServer", "ServingReport"]
+__all__ = ["ServerConfig", "InferenceServer", "OutcomeListener",
+           "ServingReport"]
 
 
 HOMING_POLICIES = ("round-robin", "least-loaded")
@@ -127,6 +128,55 @@ class ServingReport:
         return data
 
 
+class OutcomeListener:
+    """A subscriber to request outcomes, with a no-op for each event.
+
+    Servers and clusters keep a ``listeners`` list.  Each event calls the
+    same-named method on every listener, in registration order, with the
+    reporting server or cluster as *source*; subclasses override only the
+    events they use.  Orphans and degraded cold starts come from servers
+    only, drops from clusters only.
+    """
+
+    def request_completed(self, source: object, request: Request,
+                          record: RequestRecord) -> None:
+        """*request* finished; *record* is its completion record."""
+
+    def request_shed(self, source: object, request: Request) -> None:
+        """Admission control shed *request* (terminal)."""
+
+    def request_orphaned(self, source: object, request: Request) -> None:
+        """A crash race lost *request* after it left its queue."""
+
+    def cold_start_degraded(self, source: object, request: Request) -> None:
+        """*request*'s cold start ran on the degraded fallback plan."""
+
+    def request_dropped(self, source: object, request: Request) -> None:
+        """*request* failed its last retry (terminal)."""
+
+
+class _CountDown(OutcomeListener):
+    """Fires *done* once *remaining* requests completed or were shed."""
+
+    def __init__(self, done: Event, remaining: int) -> None:
+        self.done = done
+        self.remaining = remaining
+
+    def request_completed(self, source: object, request: Request,
+                          record: RequestRecord) -> None:
+        self._count()
+
+    def request_shed(self, source: object, request: Request) -> None:
+        # Shed requests are terminal too: counting them keeps a
+        # deadline-guarded run from waiting forever.
+        self._count()
+
+    def _count(self) -> None:
+        self.remaining -= 1
+        if self.remaining == 0 and not self.done.triggered:
+            self.done.succeed()
+
+
 class InferenceServer:
     """A multi-GPU model-serving system on one simulated machine."""
 
@@ -148,23 +198,20 @@ class InferenceServer:
         self._plans: dict[str, ExecutionPlan] = {}
         self._secondaries = self._plan_secondaries()
         self._outstanding = 0
-        self._drained: Event | None = None
         self._workers_started = False
         # -- lifecycle state (drain / crash / recover) --
         self._draining = False
         self._down = False
         #: Bumped on every fail_over(); in-flight executions from an older
-        #: epoch finish silently (no metrics, no callbacks) — the cluster
+        #: epoch finish silently (no metrics, no listeners) — the cluster
         #: re-runs their requests elsewhere.
         self._epoch = 0
         self._drain_event: Event | None = None
         #: The request each GPU worker is currently executing.
         self._active: dict[int, Request] = {}
-        self._completion_callbacks: list[
-            typing.Callable[[Request, RequestRecord], None]] = []
-        #: Called with each request orphaned by a crash race (popped from
-        #: its queue but not yet started when the machine went down).
-        self.on_orphan: typing.Callable[[Request], None] | None = None
+        #: :class:`OutcomeListener` subscribers to this server's request
+        #: outcomes, notified in list order.
+        self.listeners: list[OutcomeListener] = []
         # -- device-fault / guardrail state (all idle unless enabled) --
         #: When True, parallel cold starts run as abortable child
         #: processes so a GPU/link fault mid-provision can interrupt them
@@ -183,20 +230,14 @@ class InferenceServer:
         #: used when the deployed plan carries no precomputed fallback.
         self._fallback_plans: dict[str, ExecutionPlan] = {}
         self.aborted_provisions = 0
-        self.degraded_cold_starts = 0
-        #: Called with each request completing a degraded cold start (the
-        #: cluster trips its router circuit breaker here).
-        self.on_degraded: typing.Callable[[Request], None] | None = None
-        #: Requests shed at admission by the deadline guardrail, and the
-        #: shed notification hook (the cluster accounts them as terminal).
+        #: Requests shed at admission by the deadline guardrail.
         self.shed_requests: list[Request] = []
-        self.on_shed: typing.Callable[[Request], None] | None = None
         #: Predicted-service backlog per GPU, maintained only when a
         #: deadline is configured (the admission-control signal).
         self._backlog = {gpu.index: 0.0 for gpu in machine.gpus}
         self._backlog_charge: dict[int, tuple[int, float]] = {}
-        #: Where worker exceptions surface when no run() is in progress
-        #: (the cluster points this at its own completion event).
+        #: Where worker exceptions surface (run(), the cluster and the
+        #: load generator point this at the event they are waiting on).
         self.failure_event: Event | None = None
         #: Accumulated GPU busy time and completions across the server's
         #: lifetime (utilization accounting for cluster reports).
@@ -408,9 +449,10 @@ class InferenceServer:
         requests (in-flight work becomes a phantom, discarded by the
         per-GPU epoch check), evicts instances resident there and rehomes
         them onto surviving GPUs.  Like :meth:`fail_over`, the orphans
-        are returned for the caller to re-route; ``on_orphan`` is not
-        fired for them (it covers only orphans the server discovers on
-        its own, which have no other path back to the re-router).
+        are returned for the caller to re-route; listeners are not told
+        of them (``request_orphaned`` covers only orphans the server
+        discovers on its own, which have no other path back to the
+        re-router).
         """
         self.machine.gpu(gpu_index)  # validate the index
         self._gpu_epochs[gpu_index] += 1
@@ -461,17 +503,6 @@ class InferenceServer:
             if proc.is_alive and link in links:
                 proc.interrupt("link-degraded")
 
-    def add_completion_callback(
-            self, callback: typing.Callable[[Request, RequestRecord], None]
-    ) -> None:
-        """Call *callback* with each request and its record on completion."""
-        self._completion_callbacks.append(callback)
-
-    def remove_completion_callback(
-            self, callback: typing.Callable[[Request, RequestRecord], None]
-    ) -> None:
-        self._completion_callbacks.remove(callback)
-
     def _maybe_finish_drain(self) -> None:
         if (self._outstanding == 0 and self._draining
                 and self._drain_event is not None
@@ -495,8 +526,9 @@ class InferenceServer:
         if self.auditor is not None:
             self.auditor.on_orphan(request)
         self._maybe_finish_drain()
-        if notify and self.on_orphan is not None:
-            self.on_orphan(request)
+        if notify:
+            for listener in self.listeners:
+                listener.request_orphaned(self, request)
 
     # -- running --------------------------------------------------------------------
 
@@ -519,38 +551,19 @@ class InferenceServer:
 
         prewarmed = self._prewarm() if self.config.prewarm else 0
         self._start_workers()
-        remaining = len(requests)
-        drained = self._drained = self.sim.event(name="drained")
-
-        def _count_down(request: Request, record: RequestRecord) -> None:
-            nonlocal remaining
-            remaining -= 1
-            if remaining == 0 and not drained.triggered:
-                drained.succeed()
-
-        self._completion_callbacks.append(_count_down)
-        # Shed requests are terminal too: count them toward completion so
-        # a deadline-guarded run doesn't wait forever for them.
-        prev_on_shed = self.on_shed
-
-        def _shed_count_down(request: Request) -> None:
-            if prev_on_shed is not None:
-                prev_on_shed(request)
-            nonlocal remaining
-            remaining -= 1
-            if remaining == 0 and not drained.triggered:
-                drained.succeed()
-
-        self.on_shed = _shed_count_down
+        drained = self.sim.event(name="drained")
+        count_down = _CountDown(drained, len(requests))
+        self.listeners.append(count_down)
+        prev_failure_event = self.failure_event
+        self.failure_event = drained
         start_time = self.sim.now
         self.sim.process(self._arrival_process(list(requests)),
                          name="arrivals")
         try:
             self.sim.run(drained)
         finally:
-            self._completion_callbacks.remove(_count_down)
-            self.on_shed = prev_on_shed
-            self._drained = None
+            self.listeners.remove(count_down)
+            self.failure_event = prev_failure_event
         if self.auditor is not None:
             self.auditor.check_quiesce()
         plan_cache = self.planner.plan_cache
@@ -623,7 +636,7 @@ class InferenceServer:
         the deadline guardrail shed it (predicted completion past the
         deadline — see ``ServerConfig.deadline``).  Shed requests are a
         terminal outcome: they are appended to ``shed_requests`` and
-        reported through ``on_shed``, never queued or retried here.
+        reported to ``listeners``, never queued or retried here.
         """
         if self._draining:
             raise WorkloadError(
@@ -645,8 +658,8 @@ class InferenceServer:
             if predicted_finish > request.submitted_at + deadline:
                 self.shed_requests.append(request)
                 self.metrics.record_shed()
-                if self.on_shed is not None:
-                    self.on_shed(request)
+                for listener in self.listeners:
+                    listener.request_shed(self, request)
                 return False
             self._backlog[gpu] += service
             self._backlog_charge[request.request_id] = (gpu, service)
@@ -774,15 +787,13 @@ class InferenceServer:
                 self.metrics.record(record)
                 self._outstanding -= 1
                 self._settle_backlog(request)
-                for callback in list(self._completion_callbacks):
-                    callback(request, record)
+                for listener in self.listeners:
+                    listener.request_completed(self, request, record)
                 self._maybe_finish_drain()
             except Exception as error:
-                # Surface worker failures to run() (or the cluster)
-                # instead of letting the simulation hang.
-                if self._drained is not None and not self._drained.triggered:
-                    self._drained.fail(error)
-                elif (self.failure_event is not None
+                # Surface worker failures to whoever is driving the
+                # simulation instead of letting it hang.
+                if (self.failure_event is not None
                         and not self.failure_event.triggered):
                     self.failure_event.fail(error)
                 raise
@@ -850,9 +861,8 @@ class InferenceServer:
             yield from plan_generator(
                 self.machine, self.planner.cost_model, fallback,
                 gpu_index, (), detailed_traces=self.config.detailed_traces)
-            self.degraded_cold_starts += 1
-            if self.on_degraded is not None:
-                self.on_degraded(request)
+            for listener in self.listeners:
+                listener.cold_start_degraded(self, request)
             return "degraded"
         cache.admit(instance)
         yield from plan_generator(

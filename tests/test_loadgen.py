@@ -33,6 +33,7 @@ from repro.models import build_model
 from repro.serving import (
     InferenceServer,
     MAFTraceConfig,
+    OutcomeListener,
     PoissonWorkload,
     ServerConfig,
     synthesize_maf_trace,
@@ -250,6 +251,19 @@ class TestOpenLoopDriver:
         with pytest.raises(WorkloadError, match="unknown instance"):
             LoadGen(server, traffic, LoadGenConfig(duration=2.0)).run()
 
+    def test_failed_run_leaves_listeners_unchanged(self, planner):
+        """A run that raises still unsubscribes the generator and puts
+        the server's failure slot back."""
+        server = make_server(planner)
+        existing = OutcomeListener()
+        server.listeners.append(existing)
+        traffic = TraceTraffic([(0.0, "bert-base#0"),
+                                (0.5, "no-such-instance")])
+        with pytest.raises(WorkloadError, match="unknown instance"):
+            LoadGen(server, traffic, LoadGenConfig(duration=2.0)).run()
+        assert server.listeners == [existing]
+        assert server.failure_event is None
+
     def test_config_validation(self):
         with pytest.raises(WorkloadError):
             LoadGenConfig(duration=0.0)
@@ -290,6 +304,42 @@ class TestCoordinatedOmission:
 
 
 class TestClusterTarget:
+    @pytest.mark.parametrize("deadline", [None, 20 * MS],
+                             ids=["no-deadline", "deadline-20ms"])
+    def test_open_loop_is_bit_identical_to_cluster_run(self, deadline):
+        """Server -> cluster -> loadgen: the open loop on a cluster sees
+        exactly the completions and sheds Cluster.run produces for the
+        same arrivals."""
+        bert = build_model("bert-base")
+        config = ClusterConfig(num_machines=3, replication=2,
+                               deadline=deadline)
+
+        def make_cluster():
+            cluster = Cluster(p3_8xlarge(), config)
+            cluster.deploy([(bert, 12)])
+            return cluster
+
+        reference = make_cluster()
+        workload = PoissonWorkload(reference.instance_names, rate=150.0,
+                                   num_requests=400, seed=4)
+        ref_report = reference.run(workload.generate())
+        target = make_cluster()
+        trace = TraceTraffic([(r.arrival_time, r.instance_name)
+                              for r in workload.generate()])
+        report = LoadGen(target, trace, LoadGenConfig(
+            duration=trace.duration + 1.0)).run()
+        assert report.offered == 400
+        assert report.completed == ref_report.completed
+        assert record_tuples(report.metrics) \
+            == record_tuples(ref_report.metrics)
+        assert sorted(r.request_id for r in target.shed) \
+            == sorted(r.request_id for r in ref_report.shed)
+        assert report.shed == len(ref_report.shed)
+        assert report.dropped == 0
+        assert target.listeners == []
+        if deadline is not None:
+            assert report.shed > 0
+
     def test_cluster_run_with_audit_quiesces_clean(self, planner):
         bert = build_model("bert-base")
         cluster = Cluster(p3_8xlarge(), ClusterConfig(

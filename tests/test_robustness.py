@@ -37,7 +37,13 @@ from repro.engine.transmission import spread_gpus
 from repro.hw.machine import Machine
 from repro.hw.specs import p3_8xlarge
 from repro.models import build_model
-from repro.serving import InferenceServer, PoissonWorkload, Request, ServerConfig
+from repro.serving import (
+    InferenceServer,
+    OutcomeListener,
+    PoissonWorkload,
+    Request,
+    ServerConfig,
+)
 from repro.simkit import FlowNetwork, Link, Simulator
 from repro.units import MS
 
@@ -389,7 +395,12 @@ class TestDeadlineShedding:
         server = make_server(planner, watch=False, deadline=25 * MS)
         instance = server.deploy([(bert, 1)])[0]
         shed = []
-        server.on_shed = shed.append
+
+        class ShedLog(OutcomeListener):
+            def request_shed(self, source, request):
+                shed.append(request)
+
+        server.listeners.append(ShedLog())
         requests = [one_request(instance.name, request_id=k)
                     for k in range(3)]
         report = server.run(requests)
@@ -398,7 +409,7 @@ class TestDeadlineShedding:
         assert report.shed == 2
         assert len(report.metrics) == 1
         assert [r.request_id for r in server.shed_requests] == [1, 2]
-        assert len(shed) == 2
+        assert shed == server.shed_requests
 
     def test_no_deadline_never_sheds(self, planner, bert):
         server = make_server(planner, watch=False)
@@ -535,7 +546,6 @@ class TestClusterDegradedServing:
         assert report.degraded_cold_starts >= 1
         assert report.aborted_provisions >= 1
         assert cluster.machines[0].gpu_failures == 1
-        assert cluster.machines[0].degraded_provisions >= 1
         summary = report.summary()
         assert summary["degraded_cold_starts"] == 1.0
         assert summary["aborted_provisions"] == 1.0

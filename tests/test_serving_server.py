@@ -9,6 +9,7 @@ from repro.hw.specs import p3_8xlarge
 from repro.models import build_model
 from repro.serving import (
     InferenceServer,
+    OutcomeListener,
     PoissonWorkload,
     Request,
     ServerConfig,
@@ -27,10 +28,26 @@ def planner():
     return DeepPlan(p3_8xlarge(), noise=0.0)
 
 
-def make_server(planner, strategy="pt+dha", prewarm=True):
+def make_server(planner, strategy="pt+dha", prewarm=True, deadline=None):
     machine = Machine(Simulator(), p3_8xlarge())
-    config = ServerConfig(strategy=strategy, prewarm=prewarm)
+    config = ServerConfig(strategy=strategy, prewarm=prewarm,
+                          deadline=deadline)
     return InferenceServer(machine, planner, config)
+
+
+class Recorder(OutcomeListener):
+    """Appends ``(tag, event, source, request_id)`` to a shared log."""
+
+    def __init__(self, tag, log):
+        self.tag = tag
+        self.log = log
+
+    def request_completed(self, source, request, record):
+        assert record.request_id == request.request_id
+        self.log.append((self.tag, "completed", source, request.request_id))
+
+    def request_shed(self, source, request):
+        self.log.append((self.tag, "shed", source, request.request_id))
 
 
 class TestDeployment:
@@ -412,16 +429,32 @@ class TestLifecycle:
         assert server.requests_served == 0
         assert server.outstanding == 0
 
-    def test_completion_callbacks_fire(self, planner, bert):
-        server = make_server(planner)
+    def test_listeners_see_every_outcome_in_registration_order(
+            self, planner, bert):
+        """Two listeners each receive every completion and every shed,
+        the first registered always notified first, with the server as
+        the source; run() leaves the list as it found it."""
+        server = make_server(planner, prewarm=False, deadline=25 * MS)
         server.deploy([(bert, 2)])
-        seen = []
-        server.add_completion_callback(
-            lambda request, record: seen.append(record.request_id))
-        workload = PoissonWorkload(list(server.instances), rate=100.0,
-                                   num_requests=5, seed=0)
-        server.run(workload.generate())
-        assert sorted(seen) == [0, 1, 2, 3, 4]
+        log = []
+        listeners = [Recorder("a", log), Recorder("b", log)]
+        server.listeners.extend(listeners)
+        workload = PoissonWorkload(list(server.instances), rate=400.0,
+                                   num_requests=40, seed=0)
+        report = server.run(workload.generate())
+        assert report.shed > 0 and len(report.metrics) > 0
+        assert server.listeners == listeners
+        assert all(source is server for _, _, source, _ in log)
+        assert [tag for tag, *_ in log] == ["a", "b"] * 40
+        assert log[0::2] == [("a",) + entry[1:] for entry in log[1::2]]
+        completed = sorted(rid for tag, event, _, rid in log
+                           if tag == "a" and event == "completed")
+        shed = sorted(rid for tag, event, _, rid in log
+                      if tag == "a" and event == "shed")
+        assert completed == sorted(r.request_id
+                                   for r in report.metrics.records)
+        assert shed == sorted(r.request_id for r in server.shed_requests)
+        assert len(completed) + len(shed) == 40
 
     def test_busy_time_accumulates(self, planner, bert):
         server = make_server(planner)
