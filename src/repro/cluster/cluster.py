@@ -6,8 +6,11 @@ ordinary event scheduling — no wall-clock races to reason about.
 
 Request lifecycle:
 
-1. the arrival process stamps ``submitted_at`` and hands the request to
-   the :class:`~repro.cluster.router.Router`;
+1. the request driver (:class:`~repro.serving.server.Driver`, shared
+   with ``InferenceServer.run`` and the load generator) stamps
+   ``submitted_at`` with the request's intended arrival and calls
+   :meth:`Cluster.submit`, which hands it to the
+   :class:`~repro.cluster.router.Router`;
 2. the chosen machine's :class:`~repro.serving.server.InferenceServer`
    queues and serves it; the cluster listens to every server's outcomes
    (``request_completed`` settles the router's backlog charge and
@@ -46,6 +49,7 @@ from repro.hw.specs import MachineSpec
 from repro.models.graph import ModelSpec
 from repro.serving.metrics import DEFAULT_SLO, MetricsCollector, RequestRecord
 from repro.serving.server import (
+    Driver,
     InferenceServer,
     OutcomeListener,
     ServerConfig,
@@ -237,15 +241,12 @@ class Cluster(OutcomeListener):
         self._instance_models: list[tuple[str, ModelSpec]] = []
         self._model_counts: collections.Counter[str] = collections.Counter()
         # -- per-run state --
-        self._done: Event | None = None
-        self._total = 0
-        self._completed = 0
         self.dropped: list[Request] = []
         self.shed: list[Request] = []
         self.retries = 0
         self._failures: collections.Counter[int] = collections.Counter()
-        #: Subscribers to cluster-level terminal outcomes (the open-loop
-        #: load generator registers here).
+        #: Subscribers to cluster-level terminal outcomes (a run's
+        #: :class:`~repro.serving.server.Driver` registers here).
         self.listeners: list[OutcomeListener] = []
         for cm in self.machines:
             cm.server.listeners.append(self)
@@ -255,6 +256,10 @@ class Cluster(OutcomeListener):
     @property
     def instance_names(self) -> list[str]:
         return [name for name, _ in self._instance_models]
+
+    @property
+    def servers(self) -> list[InferenceServer]:
+        return [cm.server for cm in self.machines]
 
     def active_machines(self) -> list[ClusterMachine]:
         return [cm for cm in self.machines
@@ -359,9 +364,9 @@ class Cluster(OutcomeListener):
     def start(self) -> None:
         """Start workers and prewarm the active fleet (idempotent).
 
-        :meth:`run` does this implicitly.  Externally driven sessions —
-        the open-loop load generator (:mod:`repro.loadgen`) — call this
-        once up front and then :meth:`submit` at will.
+        :meth:`run` does this itself.  Externally driven sessions — the
+        load generator (:mod:`repro.loadgen`) — call this once up front
+        and then :meth:`submit` at will.
         """
         for cm in self.machines:
             cm.server.start()
@@ -369,17 +374,14 @@ class Cluster(OutcomeListener):
                 cm.server.prewarm()
 
     def submit(self, request: Request) -> bool:
-        """Admit one externally generated request (the loadgen API).
+        """Admit one request: stamp ``submitted_at`` when unset and route it.
 
-        Stamps ``submitted_at`` when unset and routes the request;
-        retries and drop accounting behave exactly as under :meth:`run`.
         Always returns ``True`` — cluster-level terminal outcomes
         (completion, shed, drop) are asynchronous and reported to
         ``listeners``.
         """
         if request.submitted_at is None:
             request.submitted_at = self.sim.now
-        self._total += 1
         if self.auditor is not None:
             self.auditor.on_submit(request)
         self._dispatch(request)
@@ -388,31 +390,19 @@ class Cluster(OutcomeListener):
     def run(self, requests: typing.Sequence[Request],
             fault_schedule: typing.Sequence[FaultEvent] = ()
             ) -> ClusterReport:
-        """Serve *requests* to termination (completed or dropped)."""
-        if not self._instance_models:
-            raise WorkloadError("no instances deployed")
-        if not requests:
-            raise WorkloadError("no requests to serve")
-        known = {name for name, _ in self._instance_models}
-        unknown = {r.instance_name for r in requests} - known
-        if unknown:
-            raise WorkloadError(f"requests target unknown instances: "
-                                f"{sorted(unknown)[:5]}")
-        self._total = len(requests)
-        self._completed = 0
+        """Serve *requests* to termination (completed, shed or dropped)."""
+        driver = Driver.replay(self, requests)
         self.dropped = []
         self.shed = []
         self.retries = 0
         self._failures = collections.Counter()
-        done = self._done = self.sim.event(name="cluster-done")
         watch = any(event.action in DEVICE_FAULT_ACTIONS
                     for event in fault_schedule)
         for cm in self.machines:
-            cm.server.failure_event = done
             cm.server.watch_device_faults = watch
-            cm.server.start()
-            if cm.state is MachineState.ACTIVE and self.config.prewarm:
-                cm.server.prewarm()
+        self.start()
+        # The fault injector and autoscaler start before the driver's
+        # arrival process, which fixes their order at shared instants.
         injector = FaultInjector(self, fault_schedule) \
             if fault_schedule else None
         if injector is not None:
@@ -420,9 +410,7 @@ class Cluster(OutcomeListener):
         if self.autoscaler is not None:
             self.sim.process(self.autoscaler.process(), name="autoscaler")
         start_time = self.sim.now
-        self.sim.process(self._arrival_process(list(requests)),
-                         name="cluster-arrivals")
-        self.sim.run(done)
+        driver.run()
         duration = self.sim.now - start_time
         if self.autoscaler is not None:
             self.autoscaler.stop()
@@ -431,20 +419,7 @@ class Cluster(OutcomeListener):
         self.sim.run()
         if self.auditor is not None:
             self.auditor.check_quiesce()
-        return self._build_report(duration, injector)
-
-    def _arrival_process(self, requests: list[Request]
-                         ) -> typing.Generator[Event, object, None]:
-        requests.sort(key=lambda r: r.arrival_time)
-        base = self.sim.now
-        for request in requests:
-            due = base + request.arrival_time
-            if due > self.sim.now:
-                yield self.sim.timeout(due - self.sim.now)
-            request.submitted_at = due
-            if self.auditor is not None:
-                self.auditor.on_submit(request)
-            self._dispatch(request)
+        return self._build_report(duration, injector, len(requests))
 
     def _dispatch(self, request: Request) -> None:
         machine = self.router.route(request)
@@ -468,7 +443,6 @@ class Cluster(OutcomeListener):
                 self.auditor.on_drop(request)
             for listener in self.listeners:
                 listener.request_dropped(self, request)
-            self._check_done()
             return
         self.retries += 1
         delay = self.config.retry_backoff \
@@ -496,10 +470,8 @@ class Cluster(OutcomeListener):
         self.metrics.record(record)
         if self.auditor is not None:
             self.auditor.on_complete(request, cm.name)
-        self._completed += 1
         for listener in self.listeners:
             listener.request_completed(self, request, record)
-        self._check_done()
 
     def request_orphaned(self, source: object, request: Request) -> None:
         cm = self._by_server[source]
@@ -516,21 +488,14 @@ class Cluster(OutcomeListener):
             self.auditor.on_shed(request, cm.name)
         for listener in self.listeners:
             listener.request_shed(self, request)
-        self._check_done()
 
     def cold_start_degraded(self, source: object, request: Request) -> None:
         self.router.trip(self._by_server[source].name)
 
-    def _check_done(self) -> None:
-        if (self._done is not None and not self._done.triggered
-                and self._completed + len(self.dropped) + len(self.shed)
-                >= self._total):
-            self._done.succeed()
-
     # -- reporting -------------------------------------------------------------------
 
-    def _build_report(self, duration: float,
-                      injector: FaultInjector | None) -> ClusterReport:
+    def _build_report(self, duration: float, injector: FaultInjector | None,
+                      submitted: int) -> ClusterReport:
         per_machine = []
         for cm in self.machines:
             server = cm.server
@@ -555,7 +520,7 @@ class Cluster(OutcomeListener):
             dropped=list(self.dropped),
             retries=self.retries,
             duration=duration,
-            submitted=self._total,
+            submitted=submitted,
             scaling_events=(list(self.autoscaler.events)
                             if self.autoscaler is not None else []),
             fault_log=list(injector.log) if injector is not None else [],

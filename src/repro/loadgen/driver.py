@@ -1,27 +1,31 @@
 """The load-generator driver: open- and closed-loop traffic frontends.
 
-The driver submits requests to a live serving target (an
+The driver turns a traffic source's arrivals into requests and sends
+them to a live serving target (an
 :class:`~repro.serving.server.InferenceServer` or a
 :class:`~repro.cluster.cluster.Cluster`) through the target's real
-``submit()`` API, on the target's own simulator clock:
+``submit()`` API, on the target's own simulator clock.  The sending is
+the serving layer's :class:`~repro.serving.server.Driver`, the same
+loop behind ``InferenceServer.run`` and ``Cluster.run``:
 
 * **open loop** — arrivals fire at their *intended* times regardless of
   completion backpressure, and every request's ``submitted_at`` is preset
   to its intended arrival, so latency includes any queueing the system
-  imposed.  This is the coordinated-omission-safe measurement.
+  imposed.  This is the coordinated-omission-safe measurement, and it
+  is exactly what ``run()`` does with the same requests.
 * **closed loop** — a shared pool of ``clients`` connections: a request
   is sent only when a connection is free, and ``submitted_at`` is
   stamped at the actual send.  This reproduces the naive benchmark
   harness whose arrivals stall whenever the system stalls — intended
-  load silently evaporates exactly when the tail blows up, which is the
-  bias this PR exists to expose.
+  load silently evaporates exactly when the tail blows up.
 
 Run both against the same seed and the same target configuration and the
 difference in reported p99 *is* the coordinated-omission gap.
 
-The driver keeps its own :class:`~repro.serving.metrics.MetricsCollector`
-(with shed/dropped accounting and a latency histogram), so one serving
-target can be measured by several generator runs without mixing results.
+The generator keeps its own :class:`~repro.serving.metrics.MetricsCollector`
+(with shed/dropped accounting and a latency histogram) and per-QoS
+histograms, so one serving target can be measured by several generator
+runs without mixing results.
 """
 
 from __future__ import annotations
@@ -32,15 +36,13 @@ import typing
 
 from repro.cluster.cluster import Cluster
 from repro.errors import WorkloadError
-from repro.loadgen.traffic import Arrival
 from repro.serving.metrics import MetricsCollector
 from repro.serving.histogram import LatencyHistogram
-from repro.serving.server import InferenceServer, OutcomeListener
+from repro.serving.server import Driver, InferenceServer, OutcomeListener
 from repro.serving.workload import Request
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.serving.metrics import RequestRecord
-    from repro.simkit import Event
 
 __all__ = ["LoadGenConfig", "LoadGen", "LoadGenReport"]
 
@@ -114,52 +116,19 @@ class LoadGenReport:
         return data
 
 
-class _ServerTarget:
-    """What differs when driving one InferenceServer."""
-
-    def __init__(self, server: InferenceServer) -> None:
-        self.server = server
-        self.servers = [server]
-
-    def instance_names(self) -> set[str]:
-        return set(self.server.instances)
-
-    def prepare(self) -> None:
-        if self.server.config.prewarm:
-            self.server.prewarm()
-        self.server.start()
-
-
-class _ClusterTarget:
-    """What differs when driving a Cluster through its router."""
-
-    def __init__(self, cluster: Cluster) -> None:
-        self.cluster = cluster
-        self.servers = [cm.server for cm in cluster.machines]
-
-    def instance_names(self) -> set[str]:
-        return set(self.cluster.instance_names)
-
-    def prepare(self) -> None:
-        self.cluster.start()
-
-
 class LoadGen(OutcomeListener):
     """Drives one serving target with one traffic source.
 
-    For the length of :meth:`run` the generator subscribes itself to the
-    target's ``listeners`` to count each submitted request's terminal
-    outcome (completed, shed, or — on a cluster — dropped).
+    :meth:`run` turns the source's arrivals into requests and replays
+    them through the serving layer's :class:`~repro.serving.server.Driver`
+    (open loop, or closed loop behind a connection pool).  For the length
+    of the run the generator listens to the target's outcomes too, to
+    fill its own collector and per-QoS histograms.
     """
 
     def __init__(self, target: "InferenceServer | Cluster",
                  traffic: typing.Any, config: LoadGenConfig) -> None:
-        if isinstance(target, InferenceServer):
-            self._adapter: "_ServerTarget | _ClusterTarget" = \
-                _ServerTarget(target)
-        elif isinstance(target, Cluster):
-            self._adapter = _ClusterTarget(target)
-        else:
+        if not isinstance(target, (InferenceServer, Cluster)):
             raise WorkloadError(
                 f"target must be an InferenceServer or Cluster, "
                 f"got {type(target).__name__}")
@@ -173,116 +142,59 @@ class LoadGen(OutcomeListener):
         # -- per-run state --
         self._metrics: MetricsCollector | None = None
         self._by_qos: dict[str, LatencyHistogram] = {}
-        self._in_flight = 0
-        self._submitted = 0
-        self._completed = 0
-        self._shed = 0
-        self._dropped = 0
-        self._offered = 0
-        self._generator_done = False
-        self._done: "Event | None" = None
-        self._slot: "Event | None" = None
 
     def run(self) -> LoadGenReport:
         """Drive the target until every offered request is terminal."""
-        sim = self.target.sim
-        metrics = self._metrics = MetricsCollector(
-            slo=self.target.config.slo)
+        target = self.target
+        config = self.config
+        driver = Driver(target, self._requests(),
+                        clients=config.clients
+                        if config.mode == "closed" else None)
+        metrics = self._metrics = MetricsCollector(slo=target.config.slo)
         self._by_qos = {}
-        self._in_flight = self._submitted = 0
-        self._completed = self._shed = self._dropped = self._offered = 0
-        self._generator_done = False
-        self._slot = None
-        done = self._done = sim.event(name="loadgen-done")
-        self._adapter.prepare()
-        servers = self._adapter.servers
-        prev_failure_events = [server.failure_event for server in servers]
-        for server in servers:
-            server.failure_event = done
-        self.target.listeners.append(self)
+        # A cluster's start() prewarms its active fleet itself.
+        if isinstance(target, InferenceServer) and target.config.prewarm:
+            target.prewarm()
+        target.start()
+        sim = target.sim
         start = sim.now
-        sim.process(self._traffic_process(start), name="loadgen")
-        try:
-            sim.run(done)
-        finally:
-            self.target.listeners.remove(self)
-            for server, event in zip(servers, prev_failure_events):
-                server.failure_event = event
-            self._done = None
+        driver.run(listeners=[self])
+        if not driver.submitted:
+            raise WorkloadError(
+                f"traffic source produced no arrivals within "
+                f"{config.duration} s")
         # Run the simulator dry so pending phantoms/retries/recoveries in
         # the target quiesce before anyone audits it.
         sim.run()
         return LoadGenReport(
-            mode=self.config.mode,
+            mode=config.mode,
             metrics=metrics,
-            offered=self._offered,
-            submitted=self._submitted,
-            completed=self._completed,
-            shed=self._shed,
-            dropped=self._dropped,
+            offered=driver.submitted,
+            submitted=driver.submitted,
+            completed=driver.completed,
+            shed=driver.shed,
+            dropped=driver.dropped,
             duration=sim.now - start,
             by_qos=dict(self._by_qos),
         )
 
-    # -- the traffic process ---------------------------------------------------------
-
-    def _traffic_process(self, base: float
-                         ) -> typing.Generator["Event", object, None]:
-        sim = self.target.sim
+    def _requests(self) -> typing.Iterator[Request]:
+        """The traffic source's arrivals as requests, made as the driver
+        sends them (a long trace is never held in memory at once)."""
         config = self.config
-        known = self._adapter.instance_names()
+        known = set(self.target.instance_names)
         arrivals = self.traffic.arrivals(config.duration)
         if config.max_requests is not None:
             arrivals = itertools.islice(arrivals, config.max_requests)
-        offered_any = False
         for request_id, arrival in enumerate(arrivals):
-            offered_any = True
-            self._offered += 1
             if arrival.instance not in known:
-                self._fail(WorkloadError(
-                    f"traffic targets unknown instance {arrival.instance!r}"))
-                return
-            due = base + arrival.time
-            if due > sim.now:
-                yield sim.timeout(due - sim.now)
-            if config.mode == "closed":
-                # The connection pool: wait for a free client before
-                # sending.  Intended arrivals that pass while we wait are
-                # simply sent late — the omission the open loop avoids.
-                while self._in_flight >= config.clients:
-                    self._slot = sim.event(name="loadgen-slot")
-                    yield self._slot
-                    self._slot = None
-            request = self._make_request(request_id, arrival)
-            if config.mode == "open":
-                # Latency is measured from the *intended* arrival, not
-                # from whenever the harness got around to sending.
-                request.submitted_at = due
-            self._in_flight += 1
-            self._submitted += 1
-            try:
-                self.target.submit(request)
-            except Exception as error:
-                self._fail(error)
-                return
-        if not offered_any:
-            self._fail(WorkloadError(
-                f"traffic source produced no arrivals within "
-                f"{config.duration} s"))
-            return
-        self._generator_done = True
-        self._check_done()
-
-    def _make_request(self, request_id: int, arrival: Arrival) -> Request:
-        return Request(request_id=request_id,
-                       instance_name=arrival.instance,
-                       arrival_time=arrival.time,
-                       batch_size=self.config.batch_size,
-                       qos=arrival.qos)
-
-    def _fail(self, error: Exception) -> None:
-        if self._done is not None and not self._done.triggered:
-            self._done.fail(error)
+                raise WorkloadError(
+                    f"traffic targets unknown instance {arrival.instance!r}")
+            yield Request(request_id=request_id,
+                          instance_name=arrival.instance,
+                          arrival_time=arrival.time,
+                          batch_size=config.batch_size,
+                          qos=arrival.qos)
 
     # -- terminal outcomes -------------------------------------------------------------
 
@@ -294,30 +206,11 @@ class LoadGen(OutcomeListener):
         if qos_hist is None:
             qos_hist = self._by_qos[record.qos] = LatencyHistogram()
         qos_hist.add(record.latency)
-        self._completed += 1
-        self._settle()
 
     def request_shed(self, source: object, request: Request) -> None:
         assert self._metrics is not None
         self._metrics.record_shed()
-        self._shed += 1
-        self._settle()
 
     def request_dropped(self, source: object, request: Request) -> None:
         assert self._metrics is not None
         self._metrics.record_dropped()
-        self._dropped += 1
-        self._settle()
-
-    def _settle(self) -> None:
-        self._in_flight -= 1
-        if self._slot is not None and not self._slot.triggered:
-            self._slot.succeed()
-        self._check_done()
-
-    def _check_done(self) -> None:
-        if (self._generator_done and self._done is not None
-                and not self._done.triggered
-                and self._completed + self._shed + self._dropped
-                >= self._submitted):
-            self._done.succeed()

@@ -37,8 +37,9 @@ from repro.simkit import Event, Interrupt, Link, Process, Store
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.audit import ServingAuditor
+    from repro.cluster.cluster import Cluster
 
-__all__ = ["ServerConfig", "InferenceServer", "OutcomeListener",
+__all__ = ["Driver", "ServerConfig", "InferenceServer", "OutcomeListener",
            "ServingReport"]
 
 
@@ -155,26 +156,137 @@ class OutcomeListener:
         """*request* failed its last retry (terminal)."""
 
 
-class _CountDown(OutcomeListener):
-    """Fires *done* once *remaining* requests completed or were shed."""
+class Driver(OutcomeListener):
+    """Sends requests into a server or a cluster and waits for the end.
 
-    def __init__(self, done: Event, remaining: int) -> None:
-        self.done = done
-        self.remaining = remaining
+    The one request loop behind :meth:`InferenceServer.run`,
+    :meth:`Cluster.run <repro.cluster.cluster.Cluster.run>` and
+    :meth:`LoadGen.run <repro.loadgen.driver.LoadGen.run>`.  The *target*
+    offers ``sim``, ``instance_names``, ``listeners``, ``servers`` and
+    ``submit()``.
+
+    *requests* (any iterable, consumed lazily in order) are sent each at
+    its intended arrival, ``arrival_time`` after the instant :meth:`run`
+    starts.  Open loop (the default), ``submitted_at`` is stamped with
+    that instant, so latency includes any queueing the target imposed.
+    With *clients*, a closed-loop connection pool sends a request only
+    while fewer than *clients* are in flight, and ``submit()`` stamps the
+    actual send.  The run ends once every request is sent and terminal:
+    completed, shed or (on a cluster) dropped.
+    """
+
+    def __init__(self, target: "InferenceServer | Cluster",
+                 requests: typing.Iterable[Request],
+                 clients: int | None = None) -> None:
+        self.target = target
+        self._requests = requests
+        self._clients = clients
+        self.submitted = self.completed = self.shed = self.dropped = 0
+        self._sent_all = False
+        self._slot: Event | None = None
+        self._done = target.sim.event(name="requests-done")
+
+    @classmethod
+    def replay(cls, target: "InferenceServer | Cluster",
+               requests: typing.Sequence[Request]) -> "Driver":
+        """An open-loop driver for a request list, in arrival order.
+
+        Checks the list against the target's deployed instances, then
+        sorts it by ``arrival_time`` (stably, so equal arrivals keep list
+        order): an out-of-order list is still sent on time.
+        """
+        known = set(target.instance_names)
+        if not known:
+            raise WorkloadError("no instances deployed")
+        if not requests:
+            raise WorkloadError("no requests to serve")
+        unknown = {r.instance_name for r in requests} - known
+        if unknown:
+            raise WorkloadError(f"requests target unknown instances: "
+                                f"{sorted(unknown)[:5]}")
+        return cls(target, sorted(requests, key=lambda r: r.arrival_time))
+
+    def run(self, listeners: typing.Sequence[OutcomeListener] = ()) -> None:
+        """Send every request; return once each one is terminal.
+
+        For the run, *listeners* and then the driver join the target's
+        ``listeners``, and every server's ``failure_event`` points at the
+        run's end, so a worker's exception is raised here.  Both are
+        restored afterwards, also when the run raises.
+        """
+        target = self.target
+        sim = target.sim
+        subscribed = [*listeners, self]
+        servers = target.servers
+        saved = [server.failure_event for server in servers]
+        for server in servers:
+            server.failure_event = self._done
+        target.listeners.extend(subscribed)
+        try:
+            sim.process(self._send(sim.now), name="arrivals")
+            sim.run(self._done)
+        finally:
+            for listener in subscribed:
+                target.listeners.remove(listener)
+            for server, event in zip(servers, saved):
+                server.failure_event = event
+
+    def _send(self, base: float) -> typing.Generator[Event, object, None]:
+        sim = self.target.sim
+        try:
+            for request in self._requests:
+                due = base + request.arrival_time
+                if due > sim.now:
+                    yield sim.timeout(due - sim.now)
+                if self._clients is None:
+                    # The absolute intended arrival: arrival_time is
+                    # relative to the run's start, so latency stays right
+                    # when run() begins at sim.now > 0.
+                    request.submitted_at = due
+                else:
+                    # Wait for a free connection.  Intended arrivals that
+                    # pass meanwhile are sent late: the coordinated
+                    # omission the open loop avoids.
+                    while self._in_flight() >= self._clients:
+                        self._slot = sim.event(name="client-slot")
+                        yield self._slot
+                        self._slot = None
+                self.submitted += 1
+                self.target.submit(request)
+        except Exception as error:
+            # A bad request or a rejected submit() ends the run with the
+            # error instead of leaving it waiting for outcomes.
+            if not self._done.triggered:
+                self._done.fail(error)
+            return
+        self._sent_all = True
+        self._maybe_finish()
+
+    def _in_flight(self) -> int:
+        return self.submitted - self.completed - self.shed - self.dropped
 
     def request_completed(self, source: object, request: Request,
                           record: RequestRecord) -> None:
-        self._count()
+        self.completed += 1
+        self._settle()
 
     def request_shed(self, source: object, request: Request) -> None:
-        # Shed requests are terminal too: counting them keeps a
-        # deadline-guarded run from waiting forever.
-        self._count()
+        self.shed += 1
+        self._settle()
 
-    def _count(self) -> None:
-        self.remaining -= 1
-        if self.remaining == 0 and not self.done.triggered:
-            self.done.succeed()
+    def request_dropped(self, source: object, request: Request) -> None:
+        self.dropped += 1
+        self._settle()
+
+    def _settle(self) -> None:
+        if self._slot is not None and not self._slot.triggered:
+            self._slot.succeed()
+        self._maybe_finish()
+
+    def _maybe_finish(self) -> None:
+        if (self._sent_all and not self._done.triggered
+                and self._in_flight() <= 0):
+            self._done.succeed()
 
 
 class InferenceServer:
@@ -236,8 +348,8 @@ class InferenceServer:
         #: deadline is configured (the admission-control signal).
         self._backlog = {gpu.index: 0.0 for gpu in machine.gpus}
         self._backlog_charge: dict[int, tuple[int, float]] = {}
-        #: Where worker exceptions surface (run(), the cluster and the
-        #: load generator point this at the event they are waiting on).
+        #: Where worker exceptions surface (a :class:`Driver` points this
+        #: at the event its run waits on).
         self.failure_event: Event | None = None
         #: Accumulated GPU busy time and completions across the server's
         #: lifetime (utilization accounting for cluster reports).
@@ -328,6 +440,15 @@ class InferenceServer:
     @property
     def instances(self) -> dict[str, ModelInstance]:
         return dict(self._instances)
+
+    @property
+    def instance_names(self) -> list[str]:
+        return list(self._instances)
+
+    @property
+    def servers(self) -> list["InferenceServer"]:
+        """This server, as the one-element fleet a :class:`Driver` sees."""
+        return [self]
 
     def warm_capacity(self) -> int:
         """How many deployed instances fit resident simultaneously."""
@@ -535,35 +656,17 @@ class InferenceServer:
     def run(self, requests: typing.Sequence[Request]) -> ServingReport:
         """Serve *requests* to completion and report metrics.
 
-        Drives the machine's simulator; the server takes ownership of the
-        simulation loop for the duration of the run.
+        Prewarms (when configured), starts the workers and replays the
+        requests in arrival order through a :class:`Driver`, which owns
+        the simulation loop for the duration of the run.
         """
-        if not self._instances:
-            raise WorkloadError("no instances deployed")
-        if not requests:
-            raise WorkloadError("no requests to serve")
-        unknown = {r.instance_name for r in requests} - set(self._instances)
-        if unknown:
-            raise WorkloadError(f"requests target unknown instances: "
-                                f"{sorted(unknown)[:5]}")
+        driver = Driver.replay(self, requests)
         for request in requests:
             self._check_batch_size(request)
-
         prewarmed = self._prewarm() if self.config.prewarm else 0
         self._start_workers()
-        drained = self.sim.event(name="drained")
-        count_down = _CountDown(drained, len(requests))
-        self.listeners.append(count_down)
-        prev_failure_event = self.failure_event
-        self.failure_event = drained
         start_time = self.sim.now
-        self.sim.process(self._arrival_process(list(requests)),
-                         name="arrivals")
-        try:
-            self.sim.run(drained)
-        finally:
-            self.listeners.remove(count_down)
-            self.failure_event = prev_failure_event
+        driver.run()
         if self.auditor is not None:
             self.auditor.check_quiesce()
         plan_cache = self.planner.plan_cache
@@ -608,19 +711,6 @@ class InferenceServer:
         self._workers_started = True
 
     # -- processes ---------------------------------------------------------------------
-
-    def _arrival_process(self, requests: list[Request]
-                         ) -> typing.Generator[Event, object, None]:
-        base = self.sim.now
-        for request in requests:
-            due = base + request.arrival_time
-            if due > self.sim.now:
-                yield self.sim.timeout(due - self.sim.now)
-            # The absolute arrival: request.arrival_time is relative to
-            # the run's start, so latency accounting stays correct when
-            # run() begins at sim.now > 0 (e.g., back-to-back runs).
-            request.submitted_at = due
-            self.submit(request)
 
     def submit(self, request: Request) -> bool:
         """Enqueue one request at its instance's home GPU.

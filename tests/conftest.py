@@ -39,6 +39,10 @@ SEED_FIXTURES = {
     # Router vs epoch-broker load views into the one routing policy
     # (test_routing_equivalence.py; full count nightly).
     "routing_seed": (25, 200),
+    # LoadGen's open loop vs Cluster.run over drawn fleets, policies and
+    # deadlines: the one request driver behind both (test_loadgen.py;
+    # full count nightly).
+    "driver_seed": (3, 200),
 }
 
 

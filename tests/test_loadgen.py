@@ -12,6 +12,7 @@ import numpy
 import pytest
 
 from repro.cluster import Cluster, ClusterConfig
+from repro.cluster.router import ROUTING_POLICIES
 from repro.core import DeepPlan
 from repro.errors import WorkloadError
 from repro.hw.machine import Machine
@@ -35,6 +36,7 @@ from repro.serving import (
     MAFTraceConfig,
     OutcomeListener,
     PoissonWorkload,
+    Request,
     ServerConfig,
     synthesize_maf_trace,
 )
@@ -303,6 +305,38 @@ class TestCoordinatedOmission:
         assert open_report.metrics.goodput < closed_report.metrics.goodput
 
 
+def assert_open_loop_matches_cluster_run(config, workload_seed,
+                                         planner=None):
+    """LoadGen in open mode and Cluster.run, each on a fresh cluster,
+    see the same completions and sheds for the same arrivals."""
+    bert = build_model("bert-base")
+
+    def make_cluster():
+        cluster = Cluster(p3_8xlarge(), config, planner=planner)
+        cluster.deploy([(bert, 12)])
+        return cluster
+
+    reference = make_cluster()
+    workload = PoissonWorkload(reference.instance_names, rate=150.0,
+                               num_requests=400, seed=workload_seed)
+    ref_report = reference.run(workload.generate())
+    target = make_cluster()
+    trace = TraceTraffic([(r.arrival_time, r.instance_name)
+                          for r in workload.generate()])
+    report = LoadGen(target, trace, LoadGenConfig(
+        duration=trace.duration + 1.0)).run()
+    assert report.offered == 400
+    assert report.completed == ref_report.completed
+    assert record_tuples(report.metrics) \
+        == record_tuples(ref_report.metrics)
+    assert sorted(r.request_id for r in target.shed) \
+        == sorted(r.request_id for r in ref_report.shed)
+    assert report.shed == len(ref_report.shed)
+    assert report.dropped == 0
+    assert target.listeners == []
+    return report
+
+
 class TestClusterTarget:
     @pytest.mark.parametrize("deadline", [None, 20 * MS],
                              ids=["no-deadline", "deadline-20ms"])
@@ -310,35 +344,25 @@ class TestClusterTarget:
         """Server -> cluster -> loadgen: the open loop on a cluster sees
         exactly the completions and sheds Cluster.run produces for the
         same arrivals."""
-        bert = build_model("bert-base")
-        config = ClusterConfig(num_machines=3, replication=2,
-                               deadline=deadline)
-
-        def make_cluster():
-            cluster = Cluster(p3_8xlarge(), config)
-            cluster.deploy([(bert, 12)])
-            return cluster
-
-        reference = make_cluster()
-        workload = PoissonWorkload(reference.instance_names, rate=150.0,
-                                   num_requests=400, seed=4)
-        ref_report = reference.run(workload.generate())
-        target = make_cluster()
-        trace = TraceTraffic([(r.arrival_time, r.instance_name)
-                              for r in workload.generate()])
-        report = LoadGen(target, trace, LoadGenConfig(
-            duration=trace.duration + 1.0)).run()
-        assert report.offered == 400
-        assert report.completed == ref_report.completed
-        assert record_tuples(report.metrics) \
-            == record_tuples(ref_report.metrics)
-        assert sorted(r.request_id for r in target.shed) \
-            == sorted(r.request_id for r in ref_report.shed)
-        assert report.shed == len(ref_report.shed)
-        assert report.dropped == 0
-        assert target.listeners == []
+        report = assert_open_loop_matches_cluster_run(
+            ClusterConfig(num_machines=3, replication=2, deadline=deadline),
+            workload_seed=4)
         if deadline is not None:
             assert report.shed > 0
+
+    def test_open_loop_matches_cluster_run_on_drawn_fleets(self, planner,
+                                                          driver_seed):
+        """The same identity over fleets drawn per seed: size, replication,
+        routing policy, and a deadline on or off."""
+        rng = numpy.random.default_rng([driver_seed, 19])
+        machines = int(rng.integers(1, 5))
+        config = ClusterConfig(
+            num_machines=machines,
+            replication=int(rng.integers(1, machines + 1)),
+            policy=str(rng.choice(ROUTING_POLICIES)),
+            deadline=20 * MS if rng.random() < 0.5 else None)
+        assert_open_loop_matches_cluster_run(
+            config, workload_seed=driver_seed, planner=planner)
 
     def test_cluster_run_with_audit_quiesces_clean(self, planner):
         bert = build_model("bert-base")
@@ -377,6 +401,79 @@ class TestClusterTarget:
         assert report.metrics.goodput \
             == pytest.approx(in_slo / report.offered)
         assert cluster.auditor.check_quiesce() == []
+
+
+def one_machine_cluster(planner, **config_kwargs):
+    cluster = Cluster(p3_8xlarge(), ClusterConfig(num_machines=1,
+                                                  **config_kwargs),
+                      planner=planner)
+    cluster.deploy([(build_model("bert-base"), 16)])
+    return cluster
+
+
+class TestEntryPoints:
+    """``InferenceServer.run``, ``Cluster.run`` and ``LoadGen.run`` send
+    requests through one driver."""
+
+    def test_run_replays_in_arrival_order(self, planner):
+        """An out-of-order list is sent on time, as a sorted one is."""
+        def requests():
+            return [Request(k, f"bert-base#{k}", k * 10 * MS)
+                    for k in range(4)]
+
+        def records(report):
+            return [(r.request_id, r.instance_name, r.arrival_time,
+                     r.submitted_at, r.started_at, r.finished_at,
+                     r.cold_start)
+                    for r in sorted(report.metrics.records,
+                                    key=lambda r: r.request_id)]
+
+        in_order = make_server(planner, prewarm=False).run(requests())
+        reversed_ = make_server(planner, prewarm=False).run(
+            requests()[::-1])
+        cluster = one_machine_cluster(planner, prewarm=False).run(
+            requests()[::-1])
+        assert records(reversed_) == records(in_order)
+        assert records(cluster) == records(in_order)
+
+    @pytest.mark.parametrize("raises", [False, True],
+                             ids=["normal", "worker-raises"])
+    @pytest.mark.parametrize("entry", ["server", "cluster", "loadgen"])
+    def test_run_restores_listeners_and_failure_slots(self, planner, entry,
+                                                      raises):
+        if entry == "server":
+            target = make_server(planner)
+            servers = [target]
+        else:
+            target = one_machine_cluster(planner)
+            servers = [cm.server for cm in target.machines]
+        requests = [Request(k, "bert-base#0", k * 10 * MS) for k in range(3)]
+        if entry == "loadgen":
+            trace = TraceTraffic([(r.arrival_time, r.instance_name)
+                                  for r in requests])
+            run = LoadGen(target, trace, LoadGenConfig(duration=1.0)).run
+        else:
+            def run():
+                return target.run(requests)
+        existing = OutcomeListener()
+        target.listeners.append(existing)
+        server_listeners = [list(server.listeners) for server in servers]
+        slot = target.sim.event(name="caller-failure-slot")
+        for server in servers:
+            server.failure_event = slot
+        if raises:
+            def explode(*args, **kwargs):
+                raise RuntimeError("injected fault")
+
+            # bert-base#0 is prewarmed on GPU 0: its first hit explodes.
+            servers[0]._caches[0].touch = explode
+            with pytest.raises(RuntimeError, match="injected fault"):
+                run()
+        else:
+            run()
+        assert target.listeners == [existing]
+        assert [server.listeners for server in servers] == server_listeners
+        assert all(server.failure_event is slot for server in servers)
 
 
 class TestReplicaDraw:
