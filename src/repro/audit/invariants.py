@@ -118,30 +118,39 @@ class MachineAuditor:
                 self._flows_completed.get(link, 0) + 1
 
     def on_rates_assigned(self, network: "FlowNetwork") -> None:
-        by_link: dict["Link", float] = {}
-        progress: dict["Link", float] = {}
-        for flow in network.active_flows:
-            self.checks += 1
-            if flow.rate < 0:
+        # One pass over the active flows in start order (the network's
+        # own ordered set, not a copy), with one [rate, progress]
+        # accumulator per link.
+        totals: dict["Link", list[float]] = {}
+        checks = 0
+        for flow in network._active:
+            checks += 1
+            rate = flow.rate
+            if rate < 0:
                 self._flag("flow.rate_nonnegative", repr(flow),
-                           f"negative rate {flow.rate}")
-            if flow.max_rate is not None and \
-                    flow.rate > flow.max_rate * (1 + _RATE_SLACK):
+                           f"negative rate {rate}")
+            cap = flow.max_rate
+            if cap is not None and rate > cap * (1 + _RATE_SLACK):
                 self._flag("flow.max_rate", repr(flow),
-                           f"rate {flow.rate} exceeds cap {flow.max_rate}")
-            if flow.remaining < -_RESIDUAL_SLACK:
+                           f"rate {rate} exceeds cap {cap}")
+            remaining = flow.remaining
+            if remaining < -_RESIDUAL_SLACK:
                 self._flag("flow.residual_nonnegative", repr(flow),
-                           f"negative residual {flow.remaining}")
-            progressed = flow.progressed
+                           f"negative residual {remaining}")
+            progressed = flow.nbytes - remaining
             for link in flow.path:
-                by_link[link] = by_link.get(link, 0.0) + flow.rate
-                progress[link] = progress.get(link, 0.0) + progressed
-        for link, total in by_link.items():
-            self.checks += 2
-            if total > link.bandwidth * (1 + _RATE_SLACK):
+                total = totals.get(link)
+                if total is None:
+                    totals[link] = [rate, progressed]
+                else:
+                    total[0] += rate
+                    total[1] += progressed
+        for link, (rate, progressed) in totals.items():
+            checks += 2
+            if rate > link.bandwidth * (1 + _RATE_SLACK):
                 self._flag(
                     "link.rate_capacity", link.name,
-                    f"allocated {total:.6g} B/s exceeds bandwidth "
+                    f"allocated {rate:.6g} B/s exceeds bandwidth "
                     f"{link.bandwidth:.6g} B/s")
             # Running conservation: a link is never credited with more
             # bytes than its flows have actually progressed.  The settle
@@ -149,7 +158,7 @@ class MachineAuditor:
             # residual) is what makes this an invariant rather than a
             # best-effort bound — a wake-up landing past a flow's exact
             # completion instant must not inflate bytes_carried.
-            accounted = self._carried.get(link, 0.0) + progress[link]
+            accounted = self._carried.get(link, 0.0) + progressed
             tolerance = (1.0 + 1e-6 * max(accounted, link.bytes_carried)
                          + 1e-2 * self._flows_completed.get(link, 0))
             if link.bytes_carried > accounted + tolerance:
@@ -157,6 +166,7 @@ class MachineAuditor:
                     "link.over_credit", link.name,
                     f"bytes_carried {link.bytes_carried:.3f} exceeds "
                     f"accounted flow progress {accounted:.3f}")
+        self.checks += checks
 
     # -- memory observer hooks ------------------------------------------------------
 

@@ -33,6 +33,7 @@ whole-network progressive filling for differential testing.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -76,7 +77,12 @@ class Link:
 
 
 class Flow:
-    """An in-flight transfer across a path of links."""
+    """An in-flight transfer across a path of links.
+
+    A completed flow drops its done and milestone events (those events
+    carry the flow as their value), so neither side forms a reference
+    cycle and both are freed by reference counting.
+    """
 
     __slots__ = ("id", "path", "nbytes", "remaining", "rate", "max_rate",
                  "weight", "done", "started_at", "milestones",
@@ -95,13 +101,12 @@ class Flow:
         self.rate = 0.0
         self.max_rate = max_rate
         self.weight = float(weight)
-        self.done = done
+        self.done: Event | None = done
         #: (byte offset, event) pairs, ascending; each event fires when the
         #: flow's progress crosses its offset.  Lets one bulk flow stand in
         #: for a whole stream of back-to-back copies (one event per layer)
         #: without per-copy flow churn.  Most flows carry none.
-        self.milestones = (sorted(milestones, key=lambda m: m[0])
-                           if milestones else [])
+        self.milestones = milestones
         self._next_milestone = 0
 
     @property
@@ -135,10 +140,6 @@ class FlowNetwork:
         #: Links currently carrying flows -> the flows crossing them; the
         #: adjacency structure for connected-component lookups.
         self._link_flows: dict[Link, set[Flow]] = {}
-        #: Active flows that carry milestones, in start order — the
-        #: wake-up handler fires due milestones without scanning flows
-        #: that (in the overwhelmingly common case) have none.
-        self._milestoned: dict[Flow, None] = {}
         self._last_settle = sim.now
         self._timer_token = 0
         if incremental is None:
@@ -166,24 +167,8 @@ class FlowNetwork:
         allocated proportionally to weight (weighted max-min fairness),
         which models DMA queue priorities.
         """
-        if nbytes < 0:
-            raise ValueError(f"cannot transfer negative bytes: {nbytes}")
-        if not path:
-            raise ValueError("transfer path must contain at least one link")
-        if weight <= 0:
-            raise ValueError(f"weight must be positive, got {weight}")
-        if max_rate is not None and max_rate <= 0:
-            # A non-positive cap would create a permanently rate-starved
-            # flow whose done event can never fire — reject it like the
-            # other argument errors instead of hanging the caller.
-            raise ValueError(f"max_rate must be positive, got {max_rate}")
-        done = Event(self.sim, name="flow.done")
-        flow = Flow(path, nbytes, done, max_rate, weight)
-        if setup_delay > 0:
-            self.sim._schedule_callback(lambda: self._start(flow), setup_delay)
-        else:
-            self._start(flow)
-        return done
+        return self._launch(path, nbytes, [], setup_delay, max_rate,
+                            weight)[0]
 
     def transfer_with_milestones(
             self, path: typing.Sequence[Link], nbytes: float,
@@ -197,33 +182,8 @@ class FlowNetwork:
         the idiom for a load stream of back-to-back layer copies: one
         flow, one event per layer boundary.
         """
-        if nbytes < 0:
-            raise ValueError(f"cannot transfer negative bytes: {nbytes}")
-        if not path:
-            raise ValueError("transfer path must contain at least one link")
-        if weight <= 0:
-            raise ValueError(f"weight must be positive, got {weight}")
-        if max_rate is not None and max_rate <= 0:
-            raise ValueError(f"max_rate must be positive, got {max_rate}")
-        offsets = list(milestone_offsets)
-        if offsets and offsets[0] < 0:
-            raise ValueError(f"milestone offsets must be non-negative, "
-                             f"got {offsets[0]}")
-        if sorted(offsets) != offsets:
-            raise ValueError("milestone offsets must be ascending")
-        if offsets and offsets[-1] > nbytes + _EPSILON_BYTES:
-            raise ValueError(f"milestone {offsets[-1]} beyond flow size "
-                             f"{nbytes}")
-        done = Event(self.sim, name="flow.done")
-        events = [Event(self.sim, name="flow.milestone")
-                  for _ in range(len(offsets))]
-        flow = Flow(path, nbytes, done, max_rate, weight,
-                    milestones=list(zip(offsets, events)))
-        if setup_delay > 0:
-            self.sim._schedule_callback(lambda: self._start(flow), setup_delay)
-        else:
-            self._start(flow)
-        return done, events
+        return self._launch(path, nbytes, list(milestone_offsets),
+                            setup_delay, max_rate, weight)
 
     @property
     def active_flows(self) -> frozenset[Flow]:
@@ -236,19 +196,21 @@ class FlowNetwork:
         in-flight flow crossing the link has its fair share recomputed —
         the degraded (or restored) capacity takes effect immediately, on
         both the incremental fast path and the from-scratch slow path.
-        A no-op when the capacity is unchanged or the link is idle.
+        A no-op when the capacity is unchanged.  On an idle link the
+        call still settles progress and sets the new capacity, but has
+        no flow to refill.
         """
         if bandwidth <= 0:
             raise ValueError(f"link bandwidth must be positive, got {bandwidth}")
         bandwidth = float(bandwidth)
         if bandwidth == link.bandwidth:
             return
-        self._settle()
+        completed = self._settle()
         link.bandwidth = bandwidth
         flows = self._link_flows.get(link)
         if not flows:
             return
-        self._rebalance(changed=sorted(flows, key=_flow_id))
+        self._rebalance(completed, changed=sorted(flows, key=_flow_id))
 
     def reference_fair_rates(self) -> dict[Flow, float]:
         """Whole-network progressive filling, without touching flow state.
@@ -264,17 +226,56 @@ class FlowNetwork:
 
     # -- internals --------------------------------------------------------------
 
+    def _launch(self, path: typing.Sequence[Link], nbytes: float,
+                offsets: list[float], setup_delay: float,
+                max_rate: float | None,
+                weight: float) -> tuple[Event, list[Event]]:
+        """Validate a transfer, then start its flow after *setup_delay*.
+
+        Returns the done event and one event per milestone offset.
+        """
+        if nbytes < 0:
+            raise ValueError(f"cannot transfer negative bytes: {nbytes}")
+        if not path:
+            raise ValueError("transfer path must contain at least one link")
+        if weight <= 0:
+            raise ValueError(f"weight must be positive, got {weight}")
+        if max_rate is not None and max_rate <= 0:
+            # A non-positive cap would create a permanently rate-starved
+            # flow whose done event can never fire — reject it like the
+            # other argument errors instead of hanging the caller.
+            raise ValueError(f"max_rate must be positive, got {max_rate}")
+        events: list[Event] = []
+        milestones: typing.Sequence[tuple[float, Event]] = ()
+        if offsets:
+            if offsets[0] < 0:
+                raise ValueError(f"milestone offsets must be non-negative, "
+                                 f"got {offsets[0]}")
+            if sorted(offsets) != offsets:
+                raise ValueError("milestone offsets must be ascending")
+            if offsets[-1] > nbytes + _EPSILON_BYTES:
+                raise ValueError(f"milestone {offsets[-1]} beyond flow size "
+                                 f"{nbytes}")
+            events = [Event(self.sim, name="flow.milestone")
+                      for _ in offsets]
+            milestones = list(zip(offsets, events))
+        done = Event(self.sim, name="flow.done")
+        flow = Flow(path, nbytes, done, max_rate, weight, milestones)
+        if setup_delay > 0:
+            self.sim._schedule_callback(functools.partial(self._start, flow),
+                                        setup_delay)
+        else:
+            self._start(flow)
+        return done, events
+
     def _start(self, flow: Flow) -> None:
-        flow.started_at = self.sim.now
+        flow.started_at = self.sim._now
         if self.observer is not None:
             self.observer.on_flow_started(flow)
         if flow.remaining <= _EPSILON_BYTES:
-            flow.fire_due_milestones()
-            flow.done.succeed(flow)
-            if self.observer is not None:
-                self.observer.on_flow_completed(flow)
+            self._complete(flow)
             return
-        self._settle()
+        completed = self._settle()
         self._active[flow] = None
         for link in flow.path:
             flows = self._link_flows.get(link)
@@ -284,15 +285,38 @@ class FlowNetwork:
                 flows.add(flow)
         # Milestones sitting at the flow's current progress (offset 0, or
         # an offset equal to bytes already credited) are due immediately;
-        # fire them here so the wake-up timer below targets the *next*
-        # unfired milestone instead of deferring them to flow completion.
+        # fire them here so the wake-up timer targets the *next* unfired
+        # milestone instead of deferring them to flow completion.
         if flow.milestones:
-            self._milestoned[flow] = None
             flow.fire_due_milestones()
-        self._rebalance(started=flow)
+        self._rebalance(completed, started=flow)
 
-    def _settle(self) -> None:
+    def _complete(self, flow: Flow) -> None:
+        """The one completion point of a flow (already off the network).
+
+        Fires the milestones still pending, then the done event, and
+        drops the flow's references to those events: each event holds
+        the flow as its value, so keeping them would make the flow
+        cyclic garbage.
+        """
+        flow.remaining = 0.0
+        if flow.milestones:
+            flow.fire_due_milestones()
+            flow.milestones = ()
+        done = flow.done
+        flow.done = None
+        done.succeed(flow)  # type: ignore[union-attr]
+        if self.observer is not None:
+            self.observer.on_flow_completed(flow)
+
+    def _settle(self, fire_milestones: bool = False) -> list[Flow]:
         """Credit progress for time elapsed since the last rate change.
+
+        One pass over the active flows, in start order.  Returns the
+        flows now within the completion epsilon; the caller completes
+        them in :meth:`_rebalance`.  With *fire_milestones* (timer
+        wake-ups) each flow's due milestones fire in the same pass, so
+        every milestone fires before any done event of the wake-up.
 
         The credit is clamped at the flow's residual bytes: a wake-up
         that lands past the flow's exact completion instant (superseded
@@ -304,39 +328,40 @@ class FlowNetwork:
         now = self.sim._now
         elapsed = now - self._last_settle
         self._last_settle = now
-        if elapsed <= 0:
-            return
+        completed: list[Flow] = []
         for flow in self._active:
+            remaining = flow.remaining
+            # Zero elapsed time moves zero bytes: rates are finite.
             moved = flow.rate * elapsed
             if moved > 0.0:
-                remaining = flow.remaining
                 if moved >= remaining:
                     moved = remaining if remaining > 0.0 else 0.0
-                flow.remaining = remaining - moved
+                remaining = remaining - moved
+                flow.remaining = remaining
                 for link in flow.path:
                     link.bytes_carried += moved
+            if fire_milestones and flow.milestones:
+                flow.fire_due_milestones()
+            if remaining <= _EPSILON_BYTES:
+                completed.append(flow)
+        return completed
 
-    def _rebalance(self, started: Flow | None = None,
+    def _rebalance(self, completed: typing.Sequence[Flow],
+                   started: Flow | None = None,
                    changed: typing.Sequence[Flow] = ()) -> None:
-        """Recompute fair rates where needed and re-arm the wake-up timer.
+        """Complete *completed*, recompute fair rates, re-arm the timer.
 
-        The timer fires at the earliest flow completion *or* milestone
-        crossing, whichever comes first.  On the fast path only the
-        connected component(s) touched by *started*, *changed* (flows on a
-        link whose capacity just moved) and just-completed flows are
-        refilled; a wake-up that changes no component membership (a pure
-        milestone crossing, or completions of flows that shared no link
-        with a survivor) leaves every rate untouched.
+        On the fast path only the connected component(s) touched by
+        *started*, *changed* (flows on a link whose capacity just moved)
+        and *completed* are refilled; completions of flows that shared no
+        link with a survivor leave every rate untouched.
         """
-        self._timer_token += 1
         active = self._active
-        completed = [f for f in active if f.remaining <= _EPSILON_BYTES]
         seeds: list[Flow] = [] if started is None else [started]
         if changed:
             seeds.extend(changed)
         if completed:
             link_flows = self._link_flows
-            milestoned = self._milestoned
             for flow in completed:
                 del active[flow]
                 for link in flow.path:
@@ -346,21 +371,7 @@ class FlowNetwork:
                         seeds.extend(flows)
                     else:
                         del link_flows[link]
-                flow.remaining = 0.0
-                if flow.milestones:
-                    milestoned.pop(flow, None)
-                    flow.fire_due_milestones()
-                flow.done.succeed(flow)
-                if self.observer is not None:
-                    self.observer.on_flow_completed(flow)
-        if not active:
-            # The network just went quiescent; auditors still need to see
-            # the final (empty) allocation or their ledgers end one
-            # assignment short of the run.
-            if self.observer is not None:
-                self.observer.on_rates_assigned(self)
-            return
-
+                self._complete(flow)
         if not self._incremental:
             self._fill_all_components()
         elif started is not None and not completed and not changed:
@@ -377,18 +388,40 @@ class FlowNetwork:
                 self._fill((started,))
         elif seeds:
             self._fill(sorted(self._component_of(seeds), key=_flow_id))
-        # else: nothing started or finished (milestone-only wake-up) —
-        # the allocation is already the fair one; skip the fill entirely.
+        # Also when the network just went quiescent: auditors need the
+        # final (empty) allocation, or their ledgers end one assignment
+        # short of the run.
         if self.observer is not None:
             self.observer.on_rates_assigned(self)
-        token = self._timer_token
+        self._arm_timer()
+
+    def _on_timer(self, token: int) -> None:
+        if token != self._timer_token:
+            return  # superseded by a later rebalance
+        completed = self._settle(fire_milestones=True)
+        if completed or not self._incremental:
+            self._rebalance(completed)
+            return
+        # A milestone-only wake-up: no flow started or finished, so the
+        # allocation is already the fair one and only the timer moves.
+        if self.observer is not None:
+            self.observer.on_rates_assigned(self)
+        self._arm_timer()
+
+    def _arm_timer(self) -> None:
+        """Schedule the next wake-up, superseding any pending one.
+
+        The timer fires at the earliest flow completion *or* milestone
+        crossing, whichever comes first.
+        """
+        self._timer_token += 1
         # The wait is the min over flows of bytes-to-next-event / rate,
         # where the next event is completion or the next milestone
         # crossing (a milestone distance of 0.0 is a real target).  Most
         # flows carry no milestones, so each is a pair of attribute loads
         # and a divide.
         wait = _INF
-        for flow in active:
+        for flow in self._active:
             rate = flow.rate
             if rate <= 0.0:
                 continue
@@ -403,14 +436,17 @@ class FlowNetwork:
             if candidate < wait:
                 wait = candidate
         if wait == _INF:
-            # Every active flow is rate-starved (e.g. links drained to a
-            # zero residual by float-exhausted allocations); rates will
-            # be reassigned when another flow starts or finishes.
+            # No active flow, or every one is rate-starved (e.g. links
+            # drained to a zero residual by float-exhausted allocations);
+            # rates will be reassigned when another flow starts or
+            # finishes.
             return
         sim = self.sim
+        # A partial, not a lambda: the wake-up then runs without an extra
+        # Python frame.
+        wake = functools.partial(self._on_timer, self._timer_token)
         if wait <= 0.0:
-            sim._ripe.append(
-                (next(sim._sequence), lambda: self._on_timer(token)))
+            sim._ripe.append((next(sim._sequence), wake))
         else:
             now = sim._now
             if now + wait <= now:
@@ -421,7 +457,7 @@ class FlowNetwork:
                 # wait, and spins forever — clamp to one ulp so time,
                 # and therefore settled progress, actually advances.
                 wait = math.ulp(now)
-            sim._schedule_callback(lambda: self._on_timer(token), wait)
+            sim._schedule_callback(wake, wait)
 
     def _component_of(self, seeds: typing.Iterable[Flow]) -> set[Flow]:
         """Active flows connected to *seeds* through chains of shared links.
@@ -688,11 +724,3 @@ class FlowNetwork:
             residual[link] = max(0.0, residual[link] - rate)
             count[link] -= 1
             load[link] = load[link] - flow.weight if count[link] else 0.0
-
-    def _on_timer(self, token: int) -> None:
-        if token != self._timer_token:
-            return  # superseded by a later rebalance
-        self._settle()
-        for flow in self._milestoned:
-            flow.fire_due_milestones()
-        self._rebalance()

@@ -17,6 +17,7 @@ from repro.serving import (
     ServerConfig,
 )
 from repro.simkit import Simulator
+from tests.test_simkit_links import flow_cycles
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +28,24 @@ def planner():
 @pytest.fixture(scope="module")
 def bert():
     return build_model("bert-base")
+
+
+#: One corruption of an active flow (or of its first link) per invariant
+#: that ``MachineAuditor.on_rates_assigned`` checks.
+RATE_HOOK_CORRUPTIONS = {
+    "flow.rate_nonnegative":
+        lambda flow: setattr(flow, "rate", -1.0),
+    "flow.max_rate":
+        lambda flow: setattr(flow, "max_rate", flow.rate / 2),
+    "flow.residual_nonnegative":
+        lambda flow: setattr(flow, "remaining", -1.0),
+    "link.rate_capacity":
+        lambda flow: setattr(flow, "rate", 2 * max(
+            link.bandwidth for link in flow.path)),
+    "link.over_credit":
+        lambda flow: setattr(flow.path[0], "bytes_carried",
+                             flow.path[0].bytes_carried + 1e6),
+}
 
 
 def audited_machine():
@@ -111,32 +130,54 @@ class TestMachineAuditor:
     def test_byte_conservation_property(self, conservation_seed):
         """Every byte a link is credited with was progressed by a flow.
 
-        Random contended schedules over the PCIe topology; the quiesce
-        ledger (bytes_carried vs. summed completed-flow progress, per
-        link) and the running over-credit check must both hold.  The
-        nightly sweep runs this over the full 200 seeds.
+        Random contended schedules over the PCIe topology, with weights,
+        rate caps and milestones; the quiesce ledger (bytes_carried vs.
+        summed completed-flow progress, per link) and the running
+        over-credit check must both hold, and no completed flow or flow
+        event may be left as cyclic garbage.  The nightly sweep runs
+        this over the full 200 seeds.
         """
         rng = random.Random(conservation_seed)
         machine, auditor = audited_machine()
         requested: dict[object, float] = {}
-        flows = []
-        for _ in range(12):
-            path = machine.pcie_path(rng.randrange(4))
-            nbytes = rng.uniform(1e3, 5e6)
-            flows.append(machine.network.transfer(
-                path, nbytes,
-                setup_delay=rng.uniform(0.0, 0.01),
-                weight=rng.choice([0.5, 1.0, 1.0, 2.0])))
-            for link in path:
-                requested[link] = requested.get(link, 0.0) + nbytes
-        machine.sim.run()
-        assert all(flow.triggered for flow in flows)
+        with flow_cycles() as cycles:
+            events = []
+            for _ in range(12):
+                path = machine.pcie_path(rng.randrange(4))
+                nbytes = rng.uniform(1e3, 5e6)
+                offsets = sorted(rng.uniform(0.0, nbytes)
+                                 for _ in range(rng.randrange(4)))
+                done, milestones = machine.network.transfer_with_milestones(
+                    path, nbytes, offsets,
+                    setup_delay=rng.uniform(0.0, 0.01),
+                    max_rate=rng.choice([None, None, 2e9, 8e9]),
+                    weight=rng.choice([0.5, 1.0, 1.0, 2.0]))
+                events.append(done)
+                events.extend(milestones)
+                for link in path:
+                    requested[link] = requested.get(link, 0.0) + nbytes
+            machine.sim.run()
+            assert all(event.triggered for event in events)
+            del events, done, milestones
+        assert cycles == {}
         assert auditor.check_quiesce() == []
         # The ledger is not vacuous: each touched link carried exactly
         # the bytes requested across it (deltas from an idle start).
         for link, expected in requested.items():
             assert link.bytes_carried == pytest.approx(expected, rel=1e-6,
                                                        abs=1e-1)
+
+    @pytest.mark.parametrize("invariant", list(RATE_HOOK_CORRUPTIONS))
+    def test_rate_hook_flags_each_invariant(self, invariant):
+        """Corrupting one field of an active flow (or of its first link)
+        flags exactly the invariant that field feeds."""
+        machine, auditor = audited_machine()
+        machine.network.transfer(machine.pcie_path(0), 1e9)
+        (flow,) = machine.network.active_flows
+        assert auditor.violations == []
+        RATE_HOOK_CORRUPTIONS[invariant](flow)
+        auditor.on_rates_assigned(machine.network)
+        assert {v.invariant for v in auditor.violations} == {invariant}
 
     def test_non_positive_max_rate_rejected_before_any_traffic(self):
         """The ValueError fires before the network mutates any state, so

@@ -1,10 +1,19 @@
 """Unit and property tests for fair-share bandwidth links."""
 
+import collections
+import contextlib
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simkit import FlowNetwork, Link, Simulator
+from repro.core import DeepPlan
+from repro.hw.machine import Machine
+from repro.hw.specs import p3_8xlarge
+from repro.models import build_model
+from repro.serving import InferenceServer, PoissonWorkload
+from repro.simkit import Event, Flow, FlowNetwork, Link, Simulator
 
 
 @pytest.fixture
@@ -16,6 +25,38 @@ def make_network(sim, *bandwidths):
     network = FlowNetwork(sim)
     links = [Link(f"link{i}", bw) for i, bw in enumerate(bandwidths)]
     return network, links
+
+
+@contextlib.contextmanager
+def flow_cycles():
+    """Count the flows and flow events a block leaves as cyclic garbage.
+
+    The block runs with the cyclic collector off; one collection with
+    ``DEBUG_SAVEALL`` then moves every unreachable cycle into
+    ``gc.garbage`` instead of freeing it.  Objects freed by reference
+    counting never get there.  The yielded counter is keyed by
+    ``"Flow"`` and by event name, and filled when the block exits.
+    """
+    counts: collections.Counter[str] = collections.Counter()
+    gc.collect()
+    enabled = gc.isenabled()
+    flags = gc.get_debug()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        yield counts
+        gc.collect()
+        for obj in gc.garbage:
+            if isinstance(obj, Flow):
+                counts["Flow"] += 1
+            elif isinstance(obj, Event) and obj.name in ("flow.done",
+                                                         "flow.milestone"):
+                counts[obj.name] += 1
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
 
 
 class TestSingleFlow:
@@ -217,9 +258,10 @@ class TestRebalanceRobustness:
         (flow,) = network.active_flows
         # Zero the assigned rate by hand — the float-residue starvation
         # this models needs an adversarial allocation history — and force
-        # a milestone-style wake-up, which keeps rates as they are.
+        # a milestone-style wake-up, which keeps rates as they are and
+        # only re-arms the timer.
         flow.rate = 0.0
-        network._rebalance()
+        network._arm_timer()
         sim.run()
         assert not starved.triggered
         assert len(network.active_flows) == 1
@@ -227,6 +269,35 @@ class TestRebalanceRobustness:
         done = network.transfer([link], 1000.0)
         sim.run(done)
         assert starved.triggered
+
+
+class TestNoCyclicGarbage:
+    def test_completed_flows_form_no_cycles(self, sim):
+        network, (link,) = make_network(sim, 100.0)
+        with flow_cycles() as cycles:
+            done = network.transfer([link], 500.0)
+            _, marks = network.transfer_with_milestones(
+                [link], 1000.0, [250.0, 1000.0], setup_delay=1.0)
+            network.transfer_with_milestones([link], 0.0, [0.0])
+            sim.run()
+            assert done.triggered and all(m.triggered for m in marks)
+            del done, marks
+        assert cycles == {}
+
+    def test_oversubscribed_replay_leaves_no_flow_cycles(self):
+        """Cold starts (milestone load streams) and warm DHA reads alike
+        free their flows and events by reference counting."""
+        planner = DeepPlan(p3_8xlarge(), noise=0.0)
+        server = InferenceServer(Machine(Simulator(), p3_8xlarge()),
+                                 planner)
+        server.deploy([(build_model("bert-base"), 140)])
+        workload = PoissonWorkload(list(server.instances), rate=100.0,
+                                   num_requests=200, seed=1)
+        with flow_cycles() as cycles:
+            report = server.run(workload.generate())
+        assert report.metrics.cold_start_count > 0
+        assert report.metrics.cold_start_count < len(report.metrics)
+        assert cycles == {}
 
 
 @settings(max_examples=60, deadline=None)

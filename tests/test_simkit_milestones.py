@@ -67,6 +67,21 @@ class TestMilestones:
         sim.run(done)
         assert events[0].triggered
 
+    def test_sub_epsilon_flow_fires_every_milestone(self, sim):
+        """Regression: a flow within the completion epsilon completes at
+        start, and completing it fires every milestone up to its size.
+
+        Offsets may exceed the size by the epsilon.  The start-time
+        completion fired milestones before zeroing the residual, so the
+        second one here never fired and its waiters hung.
+        """
+        network, link = network_with_link(sim)
+        done, events = network.transfer_with_milestones(
+            [link], 0.001, [0.0005, 0.0015])
+        sim.run()
+        assert done.triggered
+        assert [event.triggered for event in events] == [True, True]
+
     def test_zero_offset_milestone_fires_at_start_of_nonzero_flow(self, sim):
         """Regression: a milestone at the flow's current progress offset.
 
