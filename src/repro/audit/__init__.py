@@ -31,7 +31,7 @@ from repro.audit.invariants import (
     ServingAuditor,
 )
 from repro.audit.cluster import ClusterAuditor
-from repro.audit.shard import GlobalLedger, ShardLedger, reconcile
+from repro.audit.shard import ShardLedger, reconcile
 from repro.audit.differential import (
     DifferentialCase,
     DifferentialResult,
@@ -47,7 +47,6 @@ __all__ = [
     "ClusterAuditor",
     "DifferentialCase",
     "DifferentialResult",
-    "GlobalLedger",
     "MachineAuditor",
     "ServingAuditor",
     "ShardLedger",

@@ -2,9 +2,9 @@
 
 Machine failures plus retries make double-execution and request loss the
 two easy bugs of any cluster serving layer.  :class:`ClusterAuditor`
-observes every submit, dispatch, failure, completion and drop, attaches
-one :class:`~repro.audit.invariants.MachineAuditor` per machine, and at
-quiesce proves:
+records every submit, dispatch, failure, completion, shed and drop
+itself, and at quiesce runs each server's own
+:class:`~repro.audit.invariants.ServingAuditor` and proves:
 
 * **exactly-once** — each submitted request completed exactly once
   cluster-wide, or was dropped exactly once, or was shed (deadline
@@ -14,11 +14,10 @@ quiesce proves:
   times, and dropped requests used *exactly* their full attempt budget;
 * **provenance** — every completion and failure refers to a request that
   was actually submitted, on a machine it was actually dispatched to;
-* **metrics reconciliation** — the cluster's metrics collector saw the
-  same completed/shed/dropped counts as the lifecycle ledger, so the
-  reported goodput denominator obeys the conservation law;
-* **machine invariants** — each machine's flow-network and memory
-  conservation checks (from :class:`MachineAuditor`) also hold.
+* **metrics and ledger reconciliation** — the cluster's metrics
+  collector and :class:`~repro.cluster.router.GlobalLedger` count what
+  these records count, so reported goodput and outcomes obey the
+  conservation law.
 """
 
 from __future__ import annotations
@@ -26,9 +25,10 @@ from __future__ import annotations
 import collections
 import typing
 
-from repro.audit.invariants import AuditError, AuditViolation, MachineAuditor
+from repro.audit.invariants import AuditError, AuditViolation
 
 if typing.TYPE_CHECKING:  # pragma: no cover
+    from repro.audit.invariants import ServingAuditor
     from repro.cluster.cluster import Cluster
     from repro.serving.workload import Request
 
@@ -40,20 +40,36 @@ class ClusterAuditor:
 
     def __init__(self, cluster: "Cluster") -> None:
         self.cluster = cluster
-        self.machine_auditors = {
-            cm.name: MachineAuditor(cm.machine) for cm in cluster.machines}
-        self.violations: list[AuditViolation] = []
-        self.checks = 0
+        #: Each machine's own serving auditor, run at quiesce.
+        self.server_auditors = {
+            cm.name: typing.cast("ServingAuditor", cm.server.auditor)
+            for cm in cluster.machines}
+        self._violations: list[AuditViolation] = []
+        self._checks = 0
         self._submitted: set[int] = set()
         self._dispatched: dict[int, list[str]] = {}
         self._completions: collections.Counter[int] = collections.Counter()
-        self._completed_on: dict[int, str] = {}
         self._failures: collections.Counter[int] = collections.Counter()
         self._dropped: collections.Counter[int] = collections.Counter()
         self._shed: collections.Counter[int] = collections.Counter()
 
+    @property
+    def checks(self) -> int:
+        """Invariant checks run so far, the servers' included."""
+        return self._checks + sum(auditor.checks for auditor
+                                  in self.server_auditors.values())
+
+    @property
+    def violations(self) -> list[AuditViolation]:
+        """The servers' violations (subject prefixed by machine), then
+        the cluster's own; a check that runs again reports nothing twice."""
+        return list(dict.fromkeys([
+            AuditViolation(v.invariant, f"{name}:{v.subject}", v.detail)
+            for name, auditor in self.server_auditors.items()
+            for v in auditor.violations] + self._violations))
+
     def _flag(self, invariant: str, subject: str, detail: str) -> None:
-        self.violations.append(AuditViolation(invariant, subject, detail))
+        self._violations.append(AuditViolation(invariant, subject, detail))
 
     # -- lifecycle hooks (called by the cluster) ------------------------------------
 
@@ -76,7 +92,6 @@ class ClusterAuditor:
 
     def on_complete(self, request: "Request", machine_name: str) -> None:
         self._completions[request.request_id] += 1
-        self._completed_on[request.request_id] = machine_name
         if machine_name not in self._dispatched.get(request.request_id, []):
             self._flag("cluster.completion_provenance", machine_name,
                        f"request {request.request_id} completed on a "
@@ -96,17 +111,15 @@ class ClusterAuditor:
 
     def check_quiesce(self, raise_on_violation: bool = True
                       ) -> list[AuditViolation]:
-        """Verify end-of-run invariants; raise :class:`AuditError` on any."""
-        for name, auditor in self.machine_auditors.items():
-            auditor.check_quiesce()
-            self.checks += auditor.checks
-            for violation in auditor.violations:
-                self.violations.append(AuditViolation(
-                    violation.invariant, f"{name}:{violation.subject}",
-                    violation.detail))
+        """Verify end-of-run invariants; raise :class:`AuditError` on any.
+
+        May run again: each call adds only the checks it runs.
+        """
+        for auditor in self.server_auditors.values():
+            auditor.check_quiesce(raise_on_violation=False)
         max_attempts = self.cluster.config.max_retries + 1
         for request_id in self._submitted:
-            self.checks += 1
+            self._checks += 1
             outcomes = (self._completions[request_id]
                         + self._dropped[request_id]
                         + self._shed[request_id])
@@ -132,7 +145,7 @@ class ClusterAuditor:
                            | set(self._shed)) - self._submitted:
             self._flag("cluster.outcome_provenance", f"request {request_id}",
                        "completed, dropped or shed but never submitted")
-        self.checks += 1
+        self._checks += 1
         completed = sum(self._completions.values())
         dropped = sum(self._dropped.values())
         shed = sum(self._shed.values())
@@ -142,29 +155,27 @@ class ClusterAuditor:
                 f"{len(self._submitted)} submitted != {completed} "
                 f"completed + {dropped} dropped + {shed} shed")
         # The reported metrics must tell the same story as the lifecycle
-        # ledger: goodput's denominator (records + shed + dropped) has to
+        # records: goodput's denominator (records + shed + dropped) has to
         # match the conservation law above, or the published numbers are
-        # silently dropping terminal outcomes.
-        self.checks += 1
-        metrics = self.cluster.metrics
+        # silently dropping terminal outcomes.  So must the ledger the
+        # report reads.
+        self._checks += 1
+        metrics, ledger = self.cluster.metrics, self.cluster.ledger
         if (len(metrics.records) != completed or metrics.shed != shed
                 or metrics.dropped != dropped):
             self._flag(
                 "cluster.metrics_reconciliation", "metrics",
                 f"collector saw {len(metrics.records)} completions + "
                 f"{metrics.shed} shed + {metrics.dropped} dropped, but the "
-                f"lifecycle ledger has {completed} + {shed} + {dropped}")
-        for cm in self.cluster.machines:
-            for queue in cm.server._queues.values():
-                self.checks += 1
-                if len(queue):
-                    self._flag("cluster.queue_drained",
-                               f"{cm.name}:{queue.name}",
-                               f"{len(queue)} requests still queued")
-                if queue.total_put != queue.total_got:
-                    self._flag(
-                        "cluster.queue_balance", f"{cm.name}:{queue.name}",
-                        f"{queue.total_put} puts vs {queue.total_got} gets")
-        if self.violations and raise_on_violation:
-            raise AuditError(self.violations)
-        return list(self.violations)
+                f"lifecycle records have {completed} + {shed} + {dropped}")
+        recorded = (len(self._submitted), completed, shed, dropped,
+                    sum(self._failures.values()))
+        if (ledger.submitted, ledger.completed, ledger.shed, ledger.dropped,
+                ledger.failures) != recorded:
+            self._flag("cluster.ledger_reconciliation", "ledger",
+                       f"{ledger} != lifecycle records (submitted, "
+                       f"completed, shed, dropped, failures) {recorded}")
+        violations = self.violations
+        if violations and raise_on_violation:
+            raise AuditError(violations)
+        return violations

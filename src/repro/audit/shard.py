@@ -6,9 +6,10 @@ across several simulator instances, so the single-process
 request lifecycle from one place.  Instead each shard maintains a
 :class:`ShardLedger` — a picklable running count of every terminal and
 in-flight state its machines have seen — and the coordinator keeps a
-:class:`GlobalLedger` over the broker's view.  At every epoch boundary
-and again at quiesce, :func:`reconcile` proves the two-level
-conservation law:
+:class:`~repro.cluster.router.GlobalLedger` (the outcome ledger the
+continuous-time cluster keeps too) over the broker's view.  At every
+epoch boundary and again at quiesce, :func:`reconcile` proves the
+two-level conservation law:
 
 * **per shard** — ``delivered == completed + shed + orphaned +
   in_flight`` (and ``in_flight`` matches the live servers' outstanding
@@ -33,8 +34,10 @@ import typing
 
 from repro.audit.invariants import AuditError, AuditViolation
 
-__all__ = ["ShardLedger", "GlobalLedger", "reconcile",
-           "resume_divergence"]
+if typing.TYPE_CHECKING:  # pragma: no cover
+    from repro.cluster.router import GlobalLedger
+
+__all__ = ["ShardLedger", "reconcile", "resume_divergence"]
 
 
 @dataclasses.dataclass
@@ -81,28 +84,6 @@ class ShardLedger:
 
     def copy(self) -> "ShardLedger":
         return dataclasses.replace(self)
-
-
-@dataclasses.dataclass
-class GlobalLedger:
-    """The coordinator's conservation counters over the whole replay."""
-
-    submitted: int = 0
-    completed: int = 0
-    shed: int = 0
-    dropped: int = 0
-    retries: int = 0
-    failures: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "submitted": self.submitted,
-            "completed": self.completed,
-            "shed": self.shed,
-            "dropped": self.dropped,
-            "retries": self.retries,
-            "failures": self.failures,
-        }
 
 
 def reconcile(global_ledger: GlobalLedger,

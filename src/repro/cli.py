@@ -433,8 +433,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     if args.audit and cluster.auditor is not None:
         print(f"\naudit: {cluster.auditor.checks} invariant checks, "
               f"{len(cluster.auditor.violations)} violations — every "
-              f"request completed exactly once or was dropped after "
-              f"{args.max_retries + 1} failed attempts")
+              f"request completed exactly once, was shed, or was dropped "
+              f"after {args.max_retries + 1} failed attempts")
     return 0
 
 
@@ -536,6 +536,9 @@ def _run_replay(args: argparse.Namespace, chaos: tuple) -> int:
               f"{report.worker_restarts} worker restart(s), "
               f"{report.replayed_epochs} epoch(s) replayed in recovery"
               + (" [serial fallback]" if report.serial_fallback else ""))
+    if args.audit:  # a violation raises AuditError inside the replay
+        print(f"\naudit: {sum(f.audit_checks for f in report.finals)} "
+              f"invariant checks, 0 violations")
     if args.check:
         # The reference never sees the chaos plan: it proves the
         # crash-injected run recovered onto the crash-free trajectory.

@@ -13,6 +13,7 @@ tier on a single :class:`~repro.simkit.sim.Simulator`:
 * :class:`FaultInjector` crashes and recovers machines mid-run;
   orphaned requests are retried on surviving replicas with bounded
   exponential backoff;
+* :class:`GlobalLedger` counts request outcomes and runs that retry ladder;
 * :class:`Autoscaler` activates standby machines when windowed p99
   crosses a threshold and drains them back when load subsides;
 * :class:`Cluster` ties it together and produces a
@@ -20,12 +21,12 @@ tier on a single :class:`~repro.simkit.sim.Simulator`:
 
 With ``ClusterConfig(audit=True)`` a
 :class:`~repro.audit.cluster.ClusterAuditor` proves exactly-once
-accounting: every submitted request completes exactly once cluster-wide
-or is reported dropped after ``max_retries`` failed attempts.
+accounting: every submitted request completes exactly once cluster-wide,
+is shed, or is dropped after ``max_retries + 1`` failed attempts.
 """
 
 from repro.cluster.machine import ClusterMachine, MachineState
-from repro.cluster.router import ROUTING_POLICIES, Router
+from repro.cluster.router import ROUTING_POLICIES, GlobalLedger, Router
 from repro.cluster.faults import FaultEvent, FaultInjector, random_fault_schedule
 from repro.cluster.autoscaler import Autoscaler, AutoscalerConfig
 from repro.cluster.cluster import (
@@ -44,6 +45,7 @@ __all__ = [
     "ClusterReport",
     "FaultEvent",
     "FaultInjector",
+    "GlobalLedger",
     "MachineState",
     "MachineStats",
     "ROUTING_POLICIES",

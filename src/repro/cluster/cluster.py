@@ -28,7 +28,6 @@ Request lifecycle:
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 import typing
 
@@ -41,7 +40,7 @@ from repro.cluster.faults import (
     FaultInjector,
 )
 from repro.cluster.machine import ClusterMachine, MachineState
-from repro.cluster.router import ROUTING_POLICIES, Router
+from repro.cluster.router import ROUTING_POLICIES, GlobalLedger, Placement, Router
 from repro.core.deepplan import DeepPlan, Strategy
 from repro.errors import WorkloadError
 from repro.hw.machine import Machine
@@ -143,14 +142,14 @@ class MachineStats:
 
 @dataclasses.dataclass
 class ClusterReport:
-    """Outcome of one cluster run."""
+    """Outcome of a cluster's runs so far: ``metrics`` and ``ledger``
+    are the cluster's own, cumulative over every :meth:`Cluster.run`."""
 
     metrics: MetricsCollector
     per_machine: list[MachineStats]
     dropped: list[Request]
-    retries: int
+    ledger: GlobalLedger
     duration: float
-    submitted: int
     scaling_events: list[ScalingEvent]
     fault_log: list[tuple[FaultEvent, bool]]
     #: Plan-cache counters of the fleet's shared planner (zero when the
@@ -167,6 +166,14 @@ class ClusterReport:
     @property
     def completed(self) -> int:
         return len(self.metrics.records)
+
+    @property
+    def submitted(self) -> int:
+        return self.ledger.submitted
+
+    @property
+    def retries(self) -> int:
+        return self.ledger.retries
 
     def summary(self) -> dict[str, float]:
         data = {
@@ -214,7 +221,8 @@ class Cluster(OutcomeListener):
         self.planner = planner if planner is not None else DeepPlan(spec)
         server_config = ServerConfig(strategy=config.strategy,
                                      slo=config.slo, prewarm=False,
-                                     deadline=config.deadline)
+                                     deadline=config.deadline,
+                                     audit=config.audit)
         self.machines: list[ClusterMachine] = []
         for index in range(config.num_machines + config.num_standby):
             standby = index >= config.num_machines
@@ -231,20 +239,20 @@ class Cluster(OutcomeListener):
                              clock=lambda: self.sim.now,
                              breaker_cooldown=config.breaker_cooldown)
         self.metrics = MetricsCollector(slo=config.slo)
+        self.ledger = GlobalLedger()  # cumulative over every run
+        self.placement = Placement(
+            [cm.name for cm in self.machines if not cm.standby_origin],
+            config.replication)
         self.autoscaler = (Autoscaler(self, config.autoscale)
                            if config.autoscale is not None else None)
         self.auditor: "ClusterAuditor | None" = None
         if config.audit:
             from repro.audit.cluster import ClusterAuditor
             self.auditor = ClusterAuditor(self)
-        #: Logical instances: (name, model), in deployment order.
-        self._instance_models: list[tuple[str, ModelSpec]] = []
-        self._model_counts: collections.Counter[str] = collections.Counter()
-        # -- per-run state --
+        #: Logical instance name -> model, in deployment order.
+        self._instance_models: dict[str, ModelSpec] = {}
         self.dropped: list[Request] = []
         self.shed: list[Request] = []
-        self.retries = 0
-        self._failures: collections.Counter[int] = collections.Counter()
         #: Subscribers to cluster-level terminal outcomes (a run's
         #: :class:`~repro.serving.server.Driver` registers here).
         self.listeners: list[OutcomeListener] = []
@@ -255,7 +263,11 @@ class Cluster(OutcomeListener):
 
     @property
     def instance_names(self) -> list[str]:
-        return [name for name, _ in self._instance_models]
+        return list(self._instance_models)
+
+    @property
+    def retries(self) -> int:
+        return self.ledger.retries
 
     @property
     def servers(self) -> list[InferenceServer]:
@@ -277,27 +289,18 @@ class Cluster(OutcomeListener):
         """Place ``count`` logical instances of each model on the fleet.
 
         Every logical instance ``model#k`` gets ``config.replication``
-        replicas, assigned round-robin over the base fleet so replicas of
-        one instance land on distinct machines.  Returns the new logical
-        instance names.
+        replicas on the base fleet, placed by the cluster's one
+        :class:`~repro.cluster.router.Placement`.  Returns the new
+        logical instance names.
         """
-        actives = [cm for cm in self.machines if not cm.standby_origin]
         created = []
-        slot = len(self._instance_models)
         for model, count in catalog:
-            if count < 1:
-                raise WorkloadError(
-                    f"instance count must be >= 1, got {count}")
-            start = self._model_counts[model.name]
-            for k in range(start, start + count):
-                name = f"{model.name}#{k}"
-                for r in range(self.config.replication):
-                    actives[(slot + r) % len(actives)] \
-                        .server.deploy_instance(model, name)
-                self._instance_models.append((name, model))
-                self._model_counts[model.name] += 1
+            for name in self.placement.place(model.name, count):
+                for machine_name in self.placement.replicas[name]:
+                    self._by_name[machine_name].server.deploy_instance(
+                        model, name)
+                self._instance_models[name] = model
                 created.append(name)
-                slot += 1
         return created
 
     # -- fleet transitions -------------------------------------------------------------
@@ -311,7 +314,7 @@ class Cluster(OutcomeListener):
         """
         for cm in self.machines:
             if cm.state is MachineState.STANDBY:
-                for name, model in self._instance_models:
+                for name, model in self._instance_models.items():
                     if not cm.has_replica(name):
                         cm.server.deploy_instance(model, name)
                 cm.state = MachineState.ACTIVE
@@ -382,6 +385,7 @@ class Cluster(OutcomeListener):
         """
         if request.submitted_at is None:
             request.submitted_at = self.sim.now
+        self.ledger.submitted += 1
         if self.auditor is not None:
             self.auditor.on_submit(request)
         self._dispatch(request)
@@ -390,12 +394,9 @@ class Cluster(OutcomeListener):
     def run(self, requests: typing.Sequence[Request],
             fault_schedule: typing.Sequence[FaultEvent] = ()
             ) -> ClusterReport:
-        """Serve *requests* to termination (completed, shed or dropped)."""
+        """Serve *requests* to termination (completed, shed or dropped);
+        the report is cumulative over every run on this cluster."""
         driver = Driver.replay(self, requests)
-        self.dropped = []
-        self.shed = []
-        self.retries = 0
-        self._failures = collections.Counter()
         watch = any(event.action in DEVICE_FAULT_ACTIONS
                     for event in fault_schedule)
         for cm in self.machines:
@@ -419,7 +420,7 @@ class Cluster(OutcomeListener):
         self.sim.run()
         if self.auditor is not None:
             self.auditor.check_quiesce()
-        return self._build_report(duration, injector, len(requests))
+        return self._build_report(duration, injector)
 
     def _dispatch(self, request: Request) -> None:
         machine = self.router.route(request)
@@ -435,8 +436,10 @@ class Cluster(OutcomeListener):
     def _attempt_failed(self, request: Request, where: str) -> None:
         if self.auditor is not None:
             self.auditor.on_failure(request, where)
-        self._failures[request.request_id] += 1
-        if self._failures[request.request_id] > self.config.max_retries:
+        delay = self.ledger.attempt_failed(
+            request.request_id, self.config.max_retries,
+            self.config.retry_backoff)
+        if delay is None:
             self.dropped.append(request)
             self.metrics.record_dropped()
             if self.auditor is not None:
@@ -444,9 +447,6 @@ class Cluster(OutcomeListener):
             for listener in self.listeners:
                 listener.request_dropped(self, request)
             return
-        self.retries += 1
-        delay = self.config.retry_backoff \
-            * (2 ** (self._failures[request.request_id] - 1))
         self.sim.process(self._retry_process(request, delay),
                          name=f"retry{request.request_id}")
 
@@ -467,6 +467,7 @@ class Cluster(OutcomeListener):
                           record: RequestRecord) -> None:
         cm = self._by_server[source]
         self.router.routing.settle(cm.name, request.request_id)
+        self.ledger.completed += 1
         self.metrics.record(record)
         if self.auditor is not None:
             self.auditor.on_complete(request, cm.name)
@@ -482,6 +483,7 @@ class Cluster(OutcomeListener):
         # and a retry elsewhere would only add queueing delay.
         cm = self._by_server[source]
         self.router.routing.settle(cm.name, request.request_id)
+        self.ledger.shed += 1
         self.shed.append(request)
         self.metrics.record_shed()
         if self.auditor is not None:
@@ -494,8 +496,8 @@ class Cluster(OutcomeListener):
 
     # -- reporting -------------------------------------------------------------------
 
-    def _build_report(self, duration: float, injector: FaultInjector | None,
-                      submitted: int) -> ClusterReport:
+    def _build_report(self, duration: float, injector: FaultInjector | None
+                      ) -> ClusterReport:
         per_machine = []
         for cm in self.machines:
             server = cm.server
@@ -518,9 +520,8 @@ class Cluster(OutcomeListener):
             metrics=self.metrics,
             per_machine=per_machine,
             dropped=list(self.dropped),
-            retries=self.retries,
+            ledger=self.ledger,
             duration=duration,
-            submitted=submitted,
             scaling_events=(list(self.autoscaler.events)
                             if self.autoscaler is not None else []),
             fault_log=list(injector.log) if injector is not None else [],

@@ -1,6 +1,8 @@
-"""Request routing across replicas: who serves this request?
+"""Cluster request accounting, shared by :class:`~repro.cluster.cluster.Cluster`
+and :class:`~repro.shard.broker.EpochBroker`: :class:`Placement`,
+:class:`RoutingPolicy`, and :class:`GlobalLedger` with its retry ladder.
 
-Three policies, in increasing awareness of serving economics:
+Routing policies, in increasing awareness of serving economics:
 
 * ``round-robin`` — rotate over replicas, blind to load and residency;
 * ``least-loaded`` — fewest outstanding requests wins;
@@ -26,6 +28,7 @@ report at epoch boundaries.
 
 from __future__ import annotations
 
+import dataclasses
 import typing
 
 from repro.cluster.machine import ClusterMachine
@@ -33,9 +36,67 @@ from repro.core.plan import ExecutionPlan
 from repro.errors import WorkloadError
 from repro.serving.workload import Request
 
-__all__ = ["ROUTING_POLICIES", "Router", "RoutingPolicy"]
+__all__ = ["GlobalLedger", "Placement", "ROUTING_POLICIES", "Router",
+           "RoutingPolicy"]
 
 ROUTING_POLICIES = ("round-robin", "least-loaded", "affinity")
+
+
+class Placement:
+    """Round-robin replica placement: logical instance ``model#k``, the
+    ``slot``-th deployed, gets replicas on machines ``slot``,
+    ``slot + 1``, ... modulo the fleet (so on distinct machines)."""
+
+    def __init__(self, machine_names: typing.Sequence[str],
+                 replication: int) -> None:
+        self.machine_names = tuple(machine_names)
+        self.replication = replication
+        #: instance name -> model name / replica machines, in deploy order.
+        self.models: dict[str, str] = {}
+        self.replicas: dict[str, list[str]] = {}
+
+    def place(self, model_name: str, count: int) -> list[str]:
+        """Place ``count`` more instances of one model; their names."""
+        if count < 1:
+            raise WorkloadError(f"instance count must be >= 1, got {count}")
+        names = self.machine_names
+        start = sum(model == model_name for model in self.models.values())
+        created = [f"{model_name}#{k}" for k in range(start, start + count)]
+        for instance in created:
+            slot = len(self.models)
+            self.models[instance] = model_name
+            self.replicas[instance] = [names[(slot + r) % len(names)]
+                                       for r in range(self.replication)]
+        return created
+
+
+@dataclasses.dataclass
+class GlobalLedger:
+    """Cluster-wide request outcome counters and the failed-attempt ladder."""
+
+    submitted: int = 0
+    completed: int = 0
+    shed: int = 0
+    dropped: int = 0
+    retries: int = 0
+    failures: int = 0
+    #: Failed attempts so far, per request id.
+    attempts: dict[int, int] = dataclasses.field(default_factory=dict,
+                                                 repr=False)
+
+    def attempt_failed(self, request_id: int, max_retries: int,
+                       retry_backoff: float) -> float | None:
+        """Count a failed attempt: the delay before the request's retry
+        (``retry_backoff`` doubled per earlier failure), or ``None`` once
+        its failures exceed *max_retries* and it drops."""
+        self.failures += 1
+        failed = self.attempts[request_id] = \
+            self.attempts.get(request_id, 0) + 1
+        if failed > max_retries:
+            self.dropped += 1
+            return None
+        self.retries += 1
+        return retry_backoff * (2 ** (failed - 1))
 
 
 class RoutingPolicy:

@@ -6,8 +6,9 @@ boundaries.  It routes from :class:`~repro.shard.protocol.MachineSnapshot`
 views (machine state, warm set, outstanding count) reported by the
 shards at the previous horizon, feeds those views to the cluster's one
 :class:`~repro.cluster.router.RoutingPolicy` (which keeps the backlog
-book the affinity policy scores), and applies the cluster's
-retry/backoff/drop ladder to the failures shards report.
+book the affinity policy scores), and counts outcomes in the cluster's
+one :class:`~repro.cluster.router.GlobalLedger`, whose retry/backoff/drop
+ladder it applies to the failures shards report.
 
 The broker's behavior is a pure function of the request sequence, the
 fault schedule and the epoch grid — never of how machines are grouped
@@ -40,8 +41,7 @@ import dataclasses
 import heapq
 import typing
 
-from repro.audit.shard import GlobalLedger
-from repro.cluster.router import RoutingPolicy
+from repro.cluster.router import GlobalLedger, RoutingPolicy
 from repro.core.deepplan import DeepPlan, Strategy
 from repro.core.plan import ExecutionPlan
 from repro.errors import WorkloadError
@@ -100,7 +100,6 @@ class EpochBroker:
                 build_model(model_name), parsed)
         # -- mutable routing state --
         self._pending: list[tuple[float, int, PendingRequest]] = []
-        self._attempts: dict[int, int] = {}
         self.snapshots: dict[str, MachineSnapshot] = {
             name: MachineSnapshot(name=name, state="active",
                                   warm=frozenset(), outstanding=0)
@@ -235,7 +234,7 @@ class EpochBroker:
                 deliver_at=boundary + self.router_latency,
                 batch_size=pending.batch_size,
                 qos=pending.qos,
-                attempt=self._attempts.get(pending.request_id, 0)))
+                attempt=self.ledger.attempts.get(pending.request_id, 0)))
         for machine_name in deliveries:
             deliveries[machine_name].sort(
                 key=lambda d: (d.deliver_at, d.request_id))
@@ -251,16 +250,12 @@ class EpochBroker:
         return machine_name
 
     def _attempt_failed(self, pending: PendingRequest, at: float) -> None:
-        self.ledger.failures += 1
-        attempts = self._attempts[pending.request_id] = \
-            self._attempts.get(pending.request_id, 0) + 1
-        if attempts > self.max_retries:
-            self.ledger.dropped += 1
+        delay = self.ledger.attempt_failed(
+            pending.request_id, self.max_retries, self.retry_backoff)
+        if delay is None:
             self.dropped.append(pending)
-            return
-        self.ledger.retries += 1
-        delay = self.retry_backoff * (2 ** (attempts - 1))
-        self._enqueue(dataclasses.replace(pending, ready=at + delay))
+        else:
+            self._enqueue(dataclasses.replace(pending, ready=at + delay))
 
     def ingest(self, outcome: EpochOutcome) -> None:
         """Fold one shard's epoch outcome into the broker's books."""

@@ -319,7 +319,8 @@ class ShardFinal:
     histogram: dict[str, typing.Any]
     ledger: ShardLedger
     machines: list[MachineFinal]
-    #: Invariant checks executed by the shard's machine auditors.
+    #: Invariant checks the shard ran: its ledger balance checks plus,
+    #: under audit, every check of its servers' auditors.
     audit_checks: int
 
 

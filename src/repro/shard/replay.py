@@ -66,13 +66,13 @@ import time
 import typing
 
 from repro.audit.shard import (
-    GlobalLedger,
     ShardLedger,
     reconcile,
     resume_divergence,
 )
 from repro.cluster.cluster import ClusterConfig
 from repro.cluster.faults import DEVICE_FAULT_ACTIONS, FaultEvent
+from repro.cluster.router import GlobalLedger, Placement
 from repro.errors import WorkloadError
 from repro.hw.specs import MachineSpec
 from repro.models.graph import ModelSpec
@@ -650,18 +650,13 @@ class ShardedReplay:
         self._shard_of = {name: index
                           for index, group in enumerate(self.groups)
                           for name in group}
-        #: (machine, instance, model) placements in global deploy order.
-        self._placements: list[tuple[str, str, str]] = []
-        self._instance_models: dict[str, str] = {}
-        self._replicas: dict[str, list[str]] = {}
-        self._model_counts: dict[str, int] = {}
-        self._slot = 0
+        self.placement = Placement(self.machine_names, config.replication)
 
-    # -- placement (mirrors Cluster.deploy round-robin) -------------------------------
+    # -- placement ---------------------------------------------------------------------
 
     @property
     def instance_names(self) -> list[str]:
-        return list(self._instance_models)
+        return list(self.placement.models)
 
     def deploy(self, catalog: typing.Sequence[tuple[ModelSpec | str, int]]
                ) -> list[str]:
@@ -672,7 +667,7 @@ class ShardedReplay:
         rebuilds the model from the zoo, so a passed spec must *be* its
         zoo entry: a customized spec would be silently swapped for the
         zoo's version and is rejected instead).  Replica assignment is
-        the same round-robin the single-simulator cluster uses, so a
+        the cluster's one :class:`~repro.cluster.router.Placement`, so a
         given catalog produces the same placement either way.
         """
         created = []
@@ -696,23 +691,7 @@ class ShardedReplay:
                         f"models from the zoo, so a customized spec would "
                         f"be silently substituted — use the "
                         f"single-simulator cluster for custom models")
-            if count < 1:
-                raise WorkloadError(
-                    f"instance count must be >= 1, got {count}")
-            start = self._model_counts.get(model_name, 0)
-            for k in range(start, start + count):
-                instance = f"{model_name}#{k}"
-                replicas = []
-                for r in range(self.config.replication):
-                    machine = self.machine_names[
-                        (self._slot + r) % len(self.machine_names)]
-                    replicas.append(machine)
-                    self._placements.append((machine, instance, model_name))
-                self._instance_models[instance] = model_name
-                self._replicas[instance] = replicas
-                self._model_counts[model_name] = k + 1
-                created.append(instance)
-                self._slot += 1
+            created.extend(self.placement.place(model_name, count))
         return created
 
     # -- the epoch loop ---------------------------------------------------------------
@@ -726,6 +705,10 @@ class ShardedReplay:
                                     f"{event.machine_name!r}")
         watch = any(event.action in DEVICE_FAULT_ACTIONS
                     for event in fault_schedule)
+        # (machine, instance, model) in global deploy order.
+        placements = tuple((machine, instance, model)
+                           for instance, model in self.placement.models.items()
+                           for machine in self.placement.replicas[instance])
         server = ServerConfig(strategy=self.config.strategy,
                               slo=self.config.slo, prewarm=False,
                               deadline=self.config.deadline,
@@ -737,7 +720,7 @@ class ShardedReplay:
                 shard_id=shard_id,
                 spec=self.spec,
                 machine_names=group,
-                placements=tuple(self._placements),
+                placements=placements,
                 server=server,
                 prewarm=self.config.prewarm,
                 audit=self.config.audit,
@@ -761,12 +744,12 @@ class ShardedReplay:
         backend — the same protocol, bit-identical outcomes — and the
         returned report is flagged ``serial_fallback=True``.
         """
-        if not self._placements:
+        if not self.placement.replicas:
             raise WorkloadError("no instances deployed")
         if not requests:
             raise WorkloadError("no requests to serve")
         unknown = ({r.instance_name for r in requests}
-                   - set(self._instance_models))
+                   - set(self.placement.models))
         if unknown:
             raise WorkloadError(f"requests target unknown instances: "
                                 f"{sorted(unknown)[:5]}")
@@ -796,8 +779,8 @@ class ShardedReplay:
         broker = EpochBroker(
             spec=self.spec, policy=self.config.policy,
             strategy=self.config.strategy,
-            instance_models=self._instance_models,
-            replicas=self._replicas,
+            instance_models=self.placement.models,
+            replicas=self.placement.replicas,
             machine_names=self.machine_names,
             max_retries=self.config.max_retries,
             retry_backoff=self.config.retry_backoff,

@@ -9,6 +9,7 @@ from repro.cluster import (
     Cluster,
     ClusterConfig,
     FaultEvent,
+    GlobalLedger,
     MachineState,
     random_fault_schedule,
 )
@@ -68,6 +69,25 @@ class TestPlacement:
         cluster = make_cluster(bert, instances=3)
         more = cluster.deploy([(bert, 2)])
         assert more == ["bert-base#3", "bert-base#4"]
+
+
+class TestLedger:
+    def test_retry_ladder_doubles_then_drops(self):
+        ledger = GlobalLedger()
+        delays = [ledger.attempt_failed(7, max_retries=3,
+                                        retry_backoff=5 * MS)
+                  for _ in range(4)]
+        assert delays == [5 * MS, 10 * MS, 20 * MS, None]
+        assert (ledger.failures, ledger.retries, ledger.dropped) == (4, 3, 1)
+        assert ledger.attempts == {7: 4}
+        # A request's ladder is its own.
+        assert ledger.attempt_failed(8, 3, 5 * MS) == 5 * MS
+
+    def test_zero_retries_drop_on_the_first_failure(self):
+        ledger = GlobalLedger()
+        assert ledger.attempt_failed(1, max_retries=0,
+                                     retry_backoff=1.0) is None
+        assert (ledger.failures, ledger.retries, ledger.dropped) == (1, 0, 1)
 
 
 class TestRouting:
@@ -236,7 +256,54 @@ class TestClusterRuns:
         assert report.completed + len(report.dropped) == 40
         # Each dropped request used its full attempt budget.
         for request in report.dropped:
-            assert cluster._failures[request.request_id] == 2
+            assert report.ledger.attempts[request.request_id] == 2
+        ledger = report.ledger
+        assert ledger.dropped == len(report.dropped)
+        assert ledger.failures == ledger.retries + ledger.dropped
+
+    def test_ledger_is_cumulative_across_runs(self, bert):
+        cluster = make_cluster(bert, audit=True)
+        first = PoissonWorkload(cluster.instance_names, rate=50.0,
+                                num_requests=50, seed=0).generate()
+        second = [Request(request_id=r.request_id + 50,
+                          instance_name=r.instance_name,
+                          arrival_time=r.arrival_time)
+                  for r in PoissonWorkload(cluster.instance_names, rate=50.0,
+                                           num_requests=30,
+                                           seed=1).generate()]
+        cluster.run(first)
+        report = cluster.run(second)
+        assert report.submitted == 80
+        assert report.submitted == (report.completed + len(report.shed)
+                                    + len(report.dropped))
+        assert report.ledger.completed == report.completed
+
+    def test_repeated_quiesce_check_adds_only_its_own_checks(self, bert):
+        cluster = make_cluster(bert, audit=True)
+        workload = PoissonWorkload(cluster.instance_names, rate=50.0,
+                                   num_requests=60, seed=0)
+        cluster.run(workload.generate())
+        auditor = cluster.auditor
+        counts = [auditor.checks]
+        for _ in range(2):
+            assert auditor.check_quiesce() == []
+            counts.append(auditor.checks)
+        # A quiesced cluster runs the same quiesce checks every time.
+        assert counts[1] - counts[0] == counts[2] - counts[1]
+        assert counts[1] - counts[0] < counts[0]
+
+    def test_repeated_quiesce_check_reports_violations_once(self, bert):
+        cluster = make_cluster(bert, instances=2, audit=True)
+        requests = PoissonWorkload(cluster.instance_names, rate=50.0,
+                                   num_requests=10, seed=0).generate()
+        cluster.auditor.on_dispatch(requests[0], "m0")
+        cluster.auditor.on_complete(requests[0], "m0")
+        with pytest.raises(AuditError):
+            cluster.run(requests)
+        violations = list(cluster.auditor.violations)
+        assert violations
+        again = cluster.auditor.check_quiesce(raise_on_violation=False)
+        assert again == violations
 
     def test_audit_catches_double_completion(self, bert):
         cluster = make_cluster(bert, instances=2, audit=True)
