@@ -75,9 +75,8 @@ class MachineAuditor:
         self.machine = machine
         self.violations: list[AuditViolation] = []
         self.checks = 0
-        #: Summed progress of completed flows, per link.
-        self._carried: dict["Link", float] = {}
-        self._flows_completed: dict["Link", int] = {}
+        #: Per link: [summed bytes, count] of the flows completed on it.
+        self._ledger: dict["Link", list] = {}
         #: Shadow reservation ledgers, per memory object.
         self._reserved: dict[int, dict[str, int]] = {}
         self._staged: dict[int, dict[str, int]] = {}
@@ -106,38 +105,41 @@ class MachineAuditor:
     # -- FlowNetwork observer hooks ------------------------------------------------
 
     def on_flow_started(self, flow: "Flow") -> None:
-        for link in flow.path:
-            self._carried.setdefault(link, 0.0)
-            self._flows_completed.setdefault(link, 0)
+        pass
 
     def on_flow_completed(self, flow: "Flow") -> None:
+        # ``FlowNetwork._complete`` zeroes ``remaining`` before this
+        # hook, so a completed flow progressed exactly ``nbytes``.
+        nbytes = flow.nbytes
+        ledger = self._ledger
         for link in flow.path:
-            self._carried[link] = self._carried.get(link, 0.0) \
-                + flow.progressed
-            self._flows_completed[link] = \
-                self._flows_completed.get(link, 0) + 1
+            entry = ledger.get(link)
+            if entry is None:
+                ledger[link] = [nbytes, 1]
+            else:
+                entry[0] += nbytes
+                entry[1] += 1
 
-    def on_rates_assigned(self, network: "FlowNetwork") -> None:
-        # One pass over the active flows in start order (the network's
-        # own ordered set, not a copy), with one [rate, progress]
-        # accumulator per link.
-        totals: dict["Link", list[float]] = {}
-        checks = 0
-        for flow in network._active:
-            checks += 1
+    def on_rates_assigned(self, network: "FlowNetwork",
+                          flows: typing.Sequence["Flow"]) -> None:
+        # *flows* are the flows the network just filled, closed under
+        # link sharing, so per-link sums over them are the sums over
+        # every flow on the link.  A lone flow needs no accumulator.
+        if not flows:
+            return
+        if len(flows) == 1:
+            flow = flows[0]
             rate = flow.rate
-            if rate < 0:
-                self._flag("flow.rate_nonnegative", repr(flow),
-                           f"negative rate {rate}")
-            cap = flow.max_rate
-            if cap is not None and rate > cap * (1 + _RATE_SLACK):
-                self._flag("flow.max_rate", repr(flow),
-                           f"rate {rate} exceeds cap {cap}")
-            remaining = flow.remaining
-            if remaining < -_RESIDUAL_SLACK:
-                self._flag("flow.residual_nonnegative", repr(flow),
-                           f"negative residual {remaining}")
-            progressed = flow.nbytes - remaining
+            progressed = self._check_flow(flow, rate)
+            for link in flow.path:
+                self._check_link(link, rate, progressed)
+            self.checks += 1 + 2 * len(flow.path)
+            return
+        # One [rate, progress] accumulator per link.
+        totals: dict["Link", list[float]] = {}
+        for flow in flows:
+            rate = flow.rate
+            progressed = self._check_flow(flow, rate)
             for link in flow.path:
                 total = totals.get(link)
                 if total is None:
@@ -146,27 +148,51 @@ class MachineAuditor:
                     total[0] += rate
                     total[1] += progressed
         for link, (rate, progressed) in totals.items():
-            checks += 2
-            if rate > link.bandwidth * (1 + _RATE_SLACK):
-                self._flag(
-                    "link.rate_capacity", link.name,
-                    f"allocated {rate:.6g} B/s exceeds bandwidth "
-                    f"{link.bandwidth:.6g} B/s")
-            # Running conservation: a link is never credited with more
-            # bytes than its flows have actually progressed.  The settle
-            # clamp in FlowNetwork._settle (credit capped at the flow's
-            # residual) is what makes this an invariant rather than a
-            # best-effort bound — a wake-up landing past a flow's exact
-            # completion instant must not inflate bytes_carried.
-            accounted = self._carried.get(link, 0.0) + progressed
-            tolerance = (1.0 + 1e-6 * max(accounted, link.bytes_carried)
-                         + 1e-2 * self._flows_completed.get(link, 0))
-            if link.bytes_carried > accounted + tolerance:
-                self._flag(
-                    "link.over_credit", link.name,
-                    f"bytes_carried {link.bytes_carried:.3f} exceeds "
-                    f"accounted flow progress {accounted:.3f}")
-        self.checks += checks
+            self._check_link(link, rate, progressed)
+        self.checks += len(flows) + 2 * len(totals)
+
+    def _check_flow(self, flow: "Flow", rate: float) -> float:
+        """Check one flow's rate, cap and residual; return its progress."""
+        if rate < 0:
+            self._flag("flow.rate_nonnegative", repr(flow),
+                       f"negative rate {rate}")
+        cap = flow.max_rate
+        if cap is not None and rate > cap * (1 + _RATE_SLACK):
+            self._flag("flow.max_rate", repr(flow),
+                       f"rate {rate} exceeds cap {cap}")
+        remaining = flow.remaining
+        if remaining < -_RESIDUAL_SLACK:
+            self._flag("flow.residual_nonnegative", repr(flow),
+                       f"negative residual {remaining}")
+        return flow.nbytes - remaining
+
+    def _check_link(self, link: "Link", rate: float,
+                    progressed: float) -> None:
+        """Check a link's summed *rate* and its flows' *progressed* bytes."""
+        if rate > link.bandwidth * (1 + _RATE_SLACK):
+            self._flag(
+                "link.rate_capacity", link.name,
+                f"allocated {rate:.6g} B/s exceeds bandwidth "
+                f"{link.bandwidth:.6g} B/s")
+        # Running conservation: a link is never credited with more bytes
+        # than its flows have actually progressed.  The settle clamp in
+        # FlowNetwork._settle (credit capped at the flow's residual) is
+        # what makes this an invariant rather than a best-effort bound —
+        # a wake-up landing past a flow's exact completion instant must
+        # not inflate bytes_carried.
+        carried = link.bytes_carried
+        entry = self._ledger.get(link)
+        if entry is None:
+            accounted, completions = progressed, 0
+        else:
+            accounted, completions = entry[0] + progressed, entry[1]
+        tolerance = (1.0 + 1e-6 * max(accounted, carried)
+                     + 1e-2 * completions)
+        if carried > accounted + tolerance:
+            self._flag(
+                "link.over_credit", link.name,
+                f"bytes_carried {carried:.3f} exceeds "
+                f"accounted flow progress {accounted:.3f}")
 
     # -- memory observer hooks ------------------------------------------------------
 
@@ -228,13 +254,13 @@ class MachineAuditor:
         if network.active_flows:
             self._flag("network.quiesced", "network",
                        f"{len(network.active_flows)} flows still active")
-        for link, expected in self._carried.items():
+        for link, (expected, completions) in self._ledger.items():
             self.checks += 1
             # bytes_carried and the per-flow progress are accumulated from
             # the same settle increments in different summation orders, and
             # each completed flow forgives up to the completion epsilon.
             tolerance = (1.0 + 1e-6 * max(expected, link.bytes_carried)
-                         + 1e-2 * self._flows_completed.get(link, 0))
+                         + 1e-2 * completions)
             if abs(link.bytes_carried - expected) > tolerance:
                 self._flag(
                     "link.conservation", link.name,

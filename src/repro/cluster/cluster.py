@@ -127,7 +127,11 @@ class ClusterConfig:
 
 @dataclasses.dataclass(frozen=True)
 class MachineStats:
-    """Per-machine breakdown for the cluster report."""
+    """Per-machine breakdown for the cluster report.
+
+    Every field covers the same runs as the report's ledger: all of
+    them, from the cluster's first :meth:`Cluster.run` on.
+    """
 
     name: str
     state: str
@@ -135,7 +139,7 @@ class MachineStats:
     p99: float | None
     cold_start_rate: float
     busy_time: float
-    #: GPU busy time over (run duration x GPU count).
+    #: GPU busy time over (summed run duration x GPU count).
     utilization: float
     crashes: int
 
@@ -143,7 +147,8 @@ class MachineStats:
 @dataclasses.dataclass
 class ClusterReport:
     """Outcome of a cluster's runs so far: ``metrics`` and ``ledger``
-    are the cluster's own, cumulative over every :meth:`Cluster.run`."""
+    are the cluster's own, and every field is cumulative over every
+    :meth:`Cluster.run` (``duration`` sums the runs' durations)."""
 
     metrics: MetricsCollector
     per_machine: list[MachineStats]
@@ -253,6 +258,9 @@ class Cluster(OutcomeListener):
         self._instance_models: dict[str, ModelSpec] = {}
         self.dropped: list[Request] = []
         self.shed: list[Request] = []
+        #: Summed duration and fault log of every run so far.
+        self._run_time = 0.0
+        self._fault_log: list[tuple[FaultEvent, bool]] = []
         #: Subscribers to cluster-level terminal outcomes (a run's
         #: :class:`~repro.serving.server.Driver` registers here).
         self.listeners: list[OutcomeListener] = []
@@ -412,7 +420,7 @@ class Cluster(OutcomeListener):
             self.sim.process(self.autoscaler.process(), name="autoscaler")
         start_time = self.sim.now
         driver.run()
-        duration = self.sim.now - start_time
+        self._run_time += self.sim.now - start_time
         if self.autoscaler is not None:
             self.autoscaler.stop()
         # Run the simulator dry: phantom executions, pending recoveries
@@ -420,7 +428,9 @@ class Cluster(OutcomeListener):
         self.sim.run()
         if self.auditor is not None:
             self.auditor.check_quiesce()
-        return self._build_report(duration, injector)
+        if injector is not None:
+            self._fault_log.extend(injector.log)
+        return self._build_report()
 
     def _dispatch(self, request: Request) -> None:
         machine = self.router.route(request)
@@ -496,8 +506,8 @@ class Cluster(OutcomeListener):
 
     # -- reporting -------------------------------------------------------------------
 
-    def _build_report(self, duration: float, injector: FaultInjector | None
-                      ) -> ClusterReport:
+    def _build_report(self) -> ClusterReport:
+        duration = self._run_time
         per_machine = []
         for cm in self.machines:
             server = cm.server
@@ -524,7 +534,7 @@ class Cluster(OutcomeListener):
             duration=duration,
             scaling_events=(list(self.autoscaler.events)
                             if self.autoscaler is not None else []),
-            fault_log=list(injector.log) if injector is not None else [],
+            fault_log=list(self._fault_log),
             plan_cache_hits=plan_cache.hits if plan_cache is not None else 0,
             plan_cache_misses=(plan_cache.misses
                                if plan_cache is not None else 0),

@@ -16,6 +16,7 @@ until every GPU is full, mirroring the paper's warm-up phase.
 from __future__ import annotations
 
 import dataclasses
+import types
 import typing
 
 from repro.core.deepplan import DeepPlan, Strategy
@@ -195,7 +196,18 @@ class Driver(OutcomeListener):
         sorts it by ``arrival_time`` (stably, so equal arrivals keep list
         order): an out-of-order list is still sent on time.
         """
-        known = set(target.instance_names)
+        cls.check_requests(target.instance_names, requests)
+        return cls(target, sorted(requests, key=lambda r: r.arrival_time))
+
+    @staticmethod
+    def check_requests(instance_names: typing.Iterable[str],
+                       requests: typing.Sequence[Request]) -> None:
+        """Reject a run's request list with :class:`WorkloadError`.
+
+        The checks every run entry point shares: something is deployed,
+        there is a request, and every request names a deployed instance.
+        """
+        known = set(instance_names)
         if not known:
             raise WorkloadError("no instances deployed")
         if not requests:
@@ -204,7 +216,6 @@ class Driver(OutcomeListener):
         if unknown:
             raise WorkloadError(f"requests target unknown instances: "
                                 f"{sorted(unknown)[:5]}")
-        return cls(target, sorted(requests, key=lambda r: r.arrival_time))
 
     def run(self, listeners: typing.Sequence[OutcomeListener] = ()) -> None:
         """Send every request; return once each one is terminal.
@@ -301,6 +312,7 @@ class InferenceServer:
         self.strategy = Strategy.parse(config.strategy)
         self.metrics = MetricsCollector(slo=config.slo)
         self._instances: dict[str, ModelInstance] = {}
+        self._instances_view = types.MappingProxyType(self._instances)
         self._caches = {gpu.index: InstanceCache(
             gpu.memory, policy=config.eviction_policy, seed=gpu.index)
             for gpu in machine.gpus}
@@ -438,8 +450,9 @@ class InferenceServer:
         return partners
 
     @property
-    def instances(self) -> dict[str, ModelInstance]:
-        return dict(self._instances)
+    def instances(self) -> typing.Mapping[str, ModelInstance]:
+        """The deployed instances by name: a live, read-only view."""
+        return self._instances_view
 
     @property
     def instance_names(self) -> list[str]:

@@ -123,10 +123,11 @@ class EpochBroker:
     # -- intake ---------------------------------------------------------------------
 
     def submit(self, request: Request) -> None:
-        """Accept one trace request; it becomes routable at its arrival."""
-        if request.instance_name not in self._replicas:
-            raise WorkloadError(f"request {request.request_id} targets "
-                                f"unknown instance {request.instance_name!r}")
+        """Accept one trace request; it becomes routable at its arrival.
+
+        The request must name a placed instance
+        (:meth:`~repro.serving.server.Driver.check_requests`).
+        """
         self.ledger.submitted += 1
         pending = PendingRequest(
             request_id=request.request_id,
@@ -233,8 +234,7 @@ class EpochBroker:
                 submitted_at=pending.submitted_at,
                 deliver_at=boundary + self.router_latency,
                 batch_size=pending.batch_size,
-                qos=pending.qos,
-                attempt=self.ledger.attempts.get(pending.request_id, 0)))
+                qos=pending.qos))
         for machine_name in deliveries:
             deliveries[machine_name].sort(
                 key=lambda d: (d.deliver_at, d.request_id))

@@ -240,8 +240,6 @@ class Delivery:
     deliver_at: float
     batch_size: int = 1
     qos: str = "standard"
-    #: Failed attempts so far (0 for the first dispatch).
-    attempt: int = 0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -341,7 +339,7 @@ class ShardFinal:
 # rebuilds the exact frozen dataclasses the serial oracle passes
 # around.  Row order is preserved verbatim.
 
-WIRE_VERSION = 2
+WIRE_VERSION = 3
 
 _MAGIC = b"RSHD"
 _HEADER = struct.Struct("<4sHH")
@@ -352,7 +350,7 @@ _KIND_HEARTBEAT = 3
 _DELIVERY_DTYPE = numpy.dtype([
     ("request_id", "<i8"), ("instance", "<i4"), ("machine", "<i4"),
     ("arrival", "<f8"), ("submitted", "<f8"), ("deliver", "<f8"),
-    ("batch", "<i4"), ("qos", "<i4"), ("attempt", "<i4")])
+    ("batch", "<i4"), ("qos", "<i4")])
 
 _COMPLETION_DTYPE = numpy.dtype([
     ("machine", "<i4"), ("request_id", "<i8"), ("instance", "<i4"),
@@ -459,7 +457,7 @@ def pack_epoch(horizon: float, deliveries: list[Delivery]) -> bytes:
         rows[i] = (d.request_id, table.add(d.instance_name),
                    table.add(d.machine_name), d.arrival_time,
                    d.submitted_at, d.deliver_at, d.batch_size,
-                   table.add(d.qos), d.attempt)
+                   table.add(d.qos))
     return b"".join((
         _HEADER.pack(_MAGIC, WIRE_VERSION, _KIND_EPOCH),
         _EPOCH_SCALARS.pack(horizon, len(deliveries)),
@@ -479,14 +477,13 @@ def unpack_epoch(buf: bytes) -> tuple[float, list[Delivery]]:
         Delivery(request_id=rid, instance_name=strings[inst],
                  machine_name=strings[mach], arrival_time=arrival,
                  submitted_at=submitted, deliver_at=deliver,
-                 batch_size=batch, qos=strings[qos], attempt=attempt)
-        for rid, inst, mach, arrival, submitted, deliver, batch, qos,
-        attempt in zip(
+                 batch_size=batch, qos=strings[qos])
+        for rid, inst, mach, arrival, submitted, deliver, batch, qos
+        in zip(
             rows["request_id"].tolist(), rows["instance"].tolist(),
             rows["machine"].tolist(), rows["arrival"].tolist(),
             rows["submitted"].tolist(), rows["deliver"].tolist(),
-            rows["batch"].tolist(), rows["qos"].tolist(),
-            rows["attempt"].tolist())]
+            rows["batch"].tolist(), rows["qos"].tolist())]
     return horizon, deliveries
 
 

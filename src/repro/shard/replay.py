@@ -79,7 +79,7 @@ from repro.models.graph import ModelSpec
 from repro.models.zoo import build_model
 from repro.serving.histogram import LatencyHistogram, merge_histograms
 from repro.serving.metrics import MetricsCollector
-from repro.serving.server import ServerConfig
+from repro.serving.server import Driver, ServerConfig
 from repro.serving.workload import Request
 from repro.shard.broker import EpochBroker, PendingRequest
 from repro.shard.protocol import (
@@ -744,15 +744,7 @@ class ShardedReplay:
         backend — the same protocol, bit-identical outcomes — and the
         returned report is flagged ``serial_fallback=True``.
         """
-        if not self.placement.replicas:
-            raise WorkloadError("no instances deployed")
-        if not requests:
-            raise WorkloadError("no requests to serve")
-        unknown = ({r.instance_name for r in requests}
-                   - set(self.placement.models))
-        if unknown:
-            raise WorkloadError(f"requests target unknown instances: "
-                                f"{sorted(unknown)[:5]}")
+        Driver.check_requests(self.placement.models, requests)
         if self.config.breaker_cooldown > 0 and any(
                 event.action in DEVICE_FAULT_ACTIONS
                 for event in fault_schedule):

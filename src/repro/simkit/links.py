@@ -147,7 +147,9 @@ class FlowNetwork:
         self._incremental = incremental
         #: Optional audit hook (see :mod:`repro.audit`).  When set, it
         #: receives ``on_flow_started(flow)``, ``on_flow_completed(flow)``
-        #: and ``on_rates_assigned(network)`` callbacks; ``None`` (the
+        #: and ``on_rates_assigned(network, flows)`` callbacks, where
+        #: *flows* are the flows just filled (closed under link sharing:
+        #: every flow on their links is among them); ``None`` (the
         #: default) costs one attribute check per rate change.
         self.observer: typing.Any = None
 
@@ -354,7 +356,10 @@ class FlowNetwork:
         On the fast path only the connected component(s) touched by
         *started*, *changed* (flows on a link whose capacity just moved)
         and *completed* are refilled; completions of flows that shared no
-        link with a survivor leave every rate untouched.
+        link with a survivor leave every rate untouched.  The observer
+        hears the flows refilled: ``(started,)`` for a lone start, the
+        sorted component, every active flow on the slow path, or ``()``
+        when no flow is left on the links of *completed*.
         """
         active = self._active
         seeds: list[Flow] = [] if started is None else [started]
@@ -372,40 +377,42 @@ class FlowNetwork:
                     else:
                         del link_flows[link]
                 self._complete(flow)
+        filled: typing.Sequence[Flow] = ()
         if not self._incremental:
             self._fill_all_components()
+            filled = tuple(active)
         elif started is not None and not completed and not changed:
             # A flow just started and nothing finished: its component
             # seeds the fill, and when its links carry nothing else the
             # component is the flow alone — no walk, no sort.
             link_flows = self._link_flows
+            filled = (started,)
             for link in started.path:
                 if len(link_flows[link]) > 1:
-                    self._fill(sorted(self._component_of((started,)),
-                                      key=_flow_id))
+                    filled = sorted(self._component_of(filled),
+                                    key=_flow_id)
                     break
-            else:
-                self._fill((started,))
+            self._fill(filled)
         elif seeds:
-            self._fill(sorted(self._component_of(seeds), key=_flow_id))
-        # Also when the network just went quiescent: auditors need the
-        # final (empty) allocation, or their ledgers end one assignment
-        # short of the run.
+            filled = sorted(self._component_of(seeds), key=_flow_id)
+            self._fill(filled)
+        # Also when *filled* is empty: the last completion of a run
+        # leaves the network quiescent, and auditors need that final
+        # allocation, or their ledgers end one assignment short.
         if self.observer is not None:
-            self.observer.on_rates_assigned(self)
+            self.observer.on_rates_assigned(self, filled)
         self._arm_timer()
 
     def _on_timer(self, token: int) -> None:
         if token != self._timer_token:
             return  # superseded by a later rebalance
         completed = self._settle(fire_milestones=True)
-        if completed or not self._incremental:
+        if completed:
             self._rebalance(completed)
             return
         # A milestone-only wake-up: no flow started or finished, so the
-        # allocation is already the fair one and only the timer moves.
-        if self.observer is not None:
-            self.observer.on_rates_assigned(self)
+        # allocation is already the fair one (on both paths), no rate
+        # changed and only the timer moves.
         self._arm_timer()
 
     def _arm_timer(self) -> None:

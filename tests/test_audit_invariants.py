@@ -17,6 +17,7 @@ from repro.serving import (
     ServerConfig,
 )
 from repro.simkit import Simulator
+from tests.test_fastpath_differential import RateEventChecker
 from tests.test_simkit_links import flow_cycles
 
 
@@ -133,12 +134,14 @@ class TestMachineAuditor:
         Random contended schedules over the PCIe topology, with weights,
         rate caps and milestones; the quiesce ledger (bytes_carried vs.
         summed completed-flow progress, per link) and the running
-        over-credit check must both hold, and no completed flow or flow
-        event may be left as cyclic garbage.  The nightly sweep runs
-        this over the full 200 seeds.
+        over-credit check must both hold, every rate event must cover
+        the flows that started or changed rate, and no completed flow or
+        flow event may be left as cyclic garbage.  The nightly sweep
+        runs this over the full 200 seeds.
         """
         rng = random.Random(conservation_seed)
         machine, auditor = audited_machine()
+        machine.network.observer = checker = RateEventChecker(auditor)
         requested: dict[object, float] = {}
         with flow_cycles() as cycles:
             events = []
@@ -160,6 +163,7 @@ class TestMachineAuditor:
             assert all(event.triggered for event in events)
             del events, done, milestones
         assert cycles == {}
+        assert checker.events > 0
         assert auditor.check_quiesce() == []
         # The ledger is not vacuous: each touched link carried exactly
         # the bytes requested across it (deltas from an idle start).
@@ -170,14 +174,44 @@ class TestMachineAuditor:
     @pytest.mark.parametrize("invariant", list(RATE_HOOK_CORRUPTIONS))
     def test_rate_hook_flags_each_invariant(self, invariant):
         """Corrupting one field of an active flow (or of its first link)
-        flags exactly the invariant that field feeds."""
+        flags exactly the invariant that field feeds: for a lone flow,
+        and for the middle flow of a three-flow component, whose rate
+        event sums each link over several flows."""
+        for gpus in ((0,), (0, 1, 1)):
+            machine, auditor = audited_machine()
+            for gpu in gpus:
+                machine.network.transfer(machine.pcie_path(gpu), 1e9)
+            flows = sorted(machine.network.active_flows, key=lambda f: f.id)
+            assert auditor.violations == []
+            RATE_HOOK_CORRUPTIONS[invariant](flows[len(flows) // 2])
+            auditor.on_rates_assigned(machine.network, flows)
+            assert {v.invariant for v in auditor.violations} == {invariant}
+
+    @pytest.mark.parametrize("refill", [True, False])
+    def test_over_credit_outside_the_refilled_component(self, refill):
+        """A link's over-credit injected while another component is
+        refilled is not checked by that refill, but is flagged at the
+        link's own next refill or, failing that, at quiesce."""
         machine, auditor = audited_machine()
-        machine.network.transfer(machine.pcie_path(0), 1e9)
-        (flow,) = machine.network.active_flows
+        network = machine.network
+        first = network.transfer(machine.pcie_path(0), 1e8)
+        machine.sim.run(until=1e-3)
+        lane = machine.pcie_path(0)[0]
+        lane.bytes_carried += 1e6
+        network.transfer(machine.pcie_path(2), 1e6)  # disjoint links
+        machine.sim.run(until=2e-3)
         assert auditor.violations == []
-        RATE_HOOK_CORRUPTIONS[invariant](flow)
-        auditor.on_rates_assigned(machine.network)
-        assert {v.invariant for v in auditor.violations} == {invariant}
+        if refill:
+            network.transfer(machine.pcie_path(0), 1e6)  # shares the lane
+            machine.sim.run(until=3e-3)
+            assert {v.invariant for v in auditor.violations} == {
+                "link.over_credit"}
+        else:
+            machine.sim.run(first)
+            machine.sim.run()
+            assert auditor.violations == []
+            assert {v.invariant for v in auditor.check_quiesce()} == {
+                "link.conservation"}
 
     def test_non_positive_max_rate_rejected_before_any_traffic(self):
         """The ValueError fires before the network mutates any state, so
@@ -201,9 +235,9 @@ class TestMachineAuditor:
                 super().__init__(machine)
                 self.active_at_assignment = []
 
-            def on_rates_assigned(self, network):
+            def on_rates_assigned(self, network, flows):
                 self.active_at_assignment.append(len(network.active_flows))
-                super().on_rates_assigned(network)
+                super().on_rates_assigned(network, flows)
 
         machine = Machine(Simulator(), p3_8xlarge())
         probe = _QuiesceProbe(machine)

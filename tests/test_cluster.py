@@ -278,6 +278,35 @@ class TestClusterRuns:
                                     + len(report.dropped))
         assert report.ledger.completed == report.completed
 
+    def test_machine_stats_are_cumulative_across_runs(self, bert):
+        """Every per-machine figure covers both runs, as the ledger does:
+        utilization divides the summed busy time by the summed run
+        durations, not by the latest run's alone."""
+        cluster = make_cluster(bert)
+        first = PoissonWorkload(cluster.instance_names, rate=50.0,
+                                num_requests=50, seed=0).generate()
+        second = [Request(request_id=r.request_id + 50,
+                          instance_name=r.instance_name,
+                          arrival_time=r.arrival_time)
+                  for r in PoissonWorkload(cluster.instance_names, rate=50.0,
+                                           num_requests=30,
+                                           seed=1).generate()]
+        report1 = cluster.run(first)
+        busy1 = {m.name: m.busy_time for m in report1.per_machine}
+        report2 = cluster.run(second)
+        # The second run spans at least its own arrivals.
+        assert (report2.duration - report1.duration
+                >= max(r.arrival_time for r in second))
+        assert sum(m.served for m in report2.per_machine) == 80
+        served = {cm.name: len(cm.server.metrics.records)
+                  for cm in cluster.machines}
+        for stats in report2.per_machine:
+            assert stats.served == served[stats.name]
+            assert stats.busy_time > busy1[stats.name]
+            assert stats.utilization == (stats.busy_time
+                                         / (report2.duration * 4))
+            assert 0.0 < stats.utilization <= 1.0
+
     def test_repeated_quiesce_check_adds_only_its_own_checks(self, bert):
         cluster = make_cluster(bert, audit=True)
         workload = PoissonWorkload(cluster.instance_names, rate=50.0,

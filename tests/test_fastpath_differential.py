@@ -20,6 +20,7 @@ implementations, to the bit where the issue demands it.
   per-request timelines.
 """
 
+import math
 import random
 
 import pytest
@@ -61,7 +62,7 @@ class _RateAuditor:
     def on_flow_completed(self, flow) -> None:
         pass
 
-    def on_rates_assigned(self, network: FlowNetwork) -> None:
+    def on_rates_assigned(self, network: FlowNetwork, flows) -> None:
         reference = network.reference_fair_rates()
         assert set(reference) == set(network.active_flows)
         for flow, expected in reference.items():
@@ -74,57 +75,127 @@ class _RateAuditor:
             self.comparisons += 1
 
 
+class RateEventChecker:
+    """FlowNetwork observer checking the scope of every rate event.
+
+    Each ``on_rates_assigned(network, flows)`` must hold every flow that
+    started or changed rate since the previous event, and *flows* must
+    be closed under link sharing: per link, the rate and progress sums
+    over *flows* equal those over every flow on the link.  Every hook is
+    then forwarded to *inner*, when given (an auditor under test).
+    """
+
+    def __init__(self, inner=None) -> None:
+        self.inner = inner
+        self.events = 0
+        #: Each active flow's rate at the previous event.
+        self._rates: dict = {}
+
+    def on_flow_started(self, flow) -> None:
+        if self.inner is not None:
+            self.inner.on_flow_started(flow)
+
+    def on_flow_completed(self, flow) -> None:
+        if self.inner is not None:
+            self.inner.on_flow_completed(flow)
+
+    def on_rates_assigned(self, network: FlowNetwork, flows) -> None:
+        self.events += 1
+        filled = set(flows)
+        assert len(filled) == len(flows)
+        assert filled <= set(network._active)
+        for flow in network._active:
+            if self._rates.get(flow) != flow.rate:
+                assert flow in filled, (
+                    f"flow {flow.id} started or changed rate but is not "
+                    f"in the rate event")
+        self._rates = {flow: flow.rate for flow in network._active}
+        for link in {link for flow in flows for link in flow.path}:
+            mine = [flow for flow in flows if link in flow.path]
+            every = network._link_flows[link]
+            # fsum is exactly rounded, so summation order cannot matter.
+            assert (math.fsum(f.rate for f in mine)
+                    == math.fsum(f.rate for f in every))
+            assert (math.fsum(f.progressed for f in mine)
+                    == math.fsum(f.progressed for f in every))
+        if self.inner is not None:
+            self.inner.on_rates_assigned(network, flows)
+
+
 def _random_topology(rng: random.Random) -> list[Link]:
     return [Link(f"link{i}", rng.uniform(1e9, 25e9))
             for i in range(rng.randint(2, 7))]
 
 
 def _driver(sim: Simulator, network: FlowNetwork, links: list[Link],
-            rng: random.Random, transfers: int):
-    """One traffic source: random paths, sizes, weights and caps."""
+            rng: random.Random, transfers: int, milestones: bool = False):
+    """One traffic source: random paths, sizes, weights and caps, and
+    with *milestones* up to three progress milestones per flow."""
     for _ in range(transfers):
         path = rng.sample(links, rng.randint(1, min(3, len(links))))
         nbytes = rng.uniform(1e5, 5e7)
         weight = rng.choice((1.0, 1.0, 1.0, 0.4, 2.0))
         max_rate = (rng.uniform(5e8, 2e9) if rng.random() < 0.3 else None)
-        done = network.transfer(path, nbytes, max_rate=max_rate,
-                                weight=weight)
+        if milestones:
+            offsets = sorted(rng.uniform(0.0, nbytes)
+                             for _ in range(rng.randrange(4)))
+            done, _ = network.transfer_with_milestones(
+                path, nbytes, offsets, max_rate=max_rate, weight=weight)
+        else:
+            done = network.transfer(path, nbytes, max_rate=max_rate,
+                                    weight=weight)
         if rng.random() < 0.5:
             yield done  # wait it out: flows complete while others run
         else:
             yield sim.timeout(rng.uniform(0.0, 0.02))  # overlap
 
 
+def _run_traffic(network: FlowNetwork, flow_seed: int,
+                 milestones: bool = False) -> None:
+    """Drive the seeded random topology and traffic of *flow_seed*."""
+    rng = random.Random(0xF10 + flow_seed)
+    links = _random_topology(rng)
+    sim = network.sim
+    for k in range(rng.randint(2, 6)):
+        sim.process(
+            _driver(sim, network, links,
+                    random.Random(flow_seed * 1000 + k),
+                    transfers=rng.randint(3, 10), milestones=milestones),
+            name=f"driver{k}")
+    sim.run()
+    assert not network.active_flows, "every flow should have drained"
+
+
 class TestIncrementalFairShare:
     def test_incremental_matches_reference_fill(self, flow_seed):
-        rng = random.Random(0xF10 + flow_seed)
-        sim = Simulator()
-        network = FlowNetwork(sim)
+        network = FlowNetwork(Simulator())
         auditor = _RateAuditor(network)
         network.observer = auditor
-        links = _random_topology(rng)
-        for k in range(rng.randint(2, 6)):
-            sim.process(
-                _driver(sim, network, links,
-                        random.Random(flow_seed * 1000 + k),
-                        transfers=rng.randint(3, 10)),
-                name=f"driver{k}")
-        sim.run()
-        assert not network.active_flows, "every flow should have drained"
+        _run_traffic(network, flow_seed)
         assert auditor.comparisons > 0
         assert auditor.worst <= REL_TOL * 25e9
 
+    @pytest.mark.parametrize("incremental", [True, False])
+    def test_rate_events_cover_changed_flows(self, flow_seed, incremental):
+        """Every rate event holds each flow that started or changed rate
+        since the previous one, closed under link sharing — with rate
+        caps, weights and milestones, on both paths."""
+        network = FlowNetwork(Simulator(), incremental=incremental)
+        network.observer = checker = RateEventChecker()
+        _run_traffic(network, flow_seed, milestones=True)
+        assert checker.events > 0
+
     def test_slow_path_env_produces_same_rates(self, flow_seed):
         """The from-scratch slow path re-fills every component on every
-        change; rates it assigns must match the incremental ones."""
+        change; it must send the same rate events as the incremental
+        path, each with the same rates, milestones included."""
         if flow_seed >= 10:  # a spot check, not a second full sweep
             pytest.skip("slow-path cross-check runs on the first seeds")
 
-        def collect(incremental: bool) -> list[tuple[int, float]]:
-            rng = random.Random(0xF10 + flow_seed)
+        def collect(incremental: bool) -> list[tuple]:
             sim = Simulator()
             network = FlowNetwork(sim, incremental=incremental)
-            observed: list[tuple[int, float]] = []
+            observed: list[tuple] = []
             # Flow ids count globally across networks; number the flows
             # per run so the two traces are comparable.
             local: dict[int, int] = {}
@@ -134,24 +205,45 @@ class TestIncrementalFairShare:
                     local[flow.id] = len(local)
 
                 def on_flow_completed(self, flow) -> None:
-                    observed.append((local[flow.id], sim.now))
+                    observed.append(("done", local[flow.id], sim.now))
 
-                def on_rates_assigned(self, net) -> None:
-                    observed.extend(sorted(
-                        (local[f.id], f.rate) for f in net.active_flows))
+                def on_rates_assigned(self, net, flows) -> None:
+                    observed.append(("rates", sim.now, tuple(sorted(
+                        (local[f.id], f.rate) for f in net.active_flows))))
 
             network.observer = Recorder()
-            links = _random_topology(rng)
-            for k in range(rng.randint(2, 6)):
-                sim.process(
-                    _driver(sim, network, links,
-                            random.Random(flow_seed * 1000 + k),
-                            transfers=rng.randint(3, 10)),
-                    name=f"driver{k}")
-            sim.run()
+            _run_traffic(network, flow_seed, milestones=True)
             return observed
 
-        assert collect(incremental=True) == collect(incremental=False)
+        fast = collect(incremental=True)
+        assert any(entry[0] == "rates" for entry in fast)
+        assert fast == collect(incremental=False)
+
+    @pytest.mark.parametrize("incremental", [True, False])
+    def test_milestone_only_wakeup_sends_no_rate_event(self, incremental):
+        """A lone flow crossing three milestones: one rate event when it
+        starts, one (empty) when it completes, none in between."""
+        sim = Simulator()
+        network = FlowNetwork(sim, incremental=incremental)
+        events: list[tuple] = []
+
+        class Recorder:
+            def on_flow_started(self, flow) -> None:
+                pass
+
+            def on_flow_completed(self, flow) -> None:
+                pass
+
+            def on_rates_assigned(self, net, flows) -> None:
+                events.append(tuple(flows))
+
+        network.observer = Recorder()
+        done, milestones = network.transfer_with_milestones(
+            [Link("lane", 1e9)], 4e6, [1e6, 2e6, 3e6])
+        sim.run()
+        assert all(event.triggered for event in milestones)
+        flow = done.value
+        assert events == [(flow,), ()]
 
 
 class TestLargeComponent:

@@ -62,7 +62,7 @@ def test_shard_worker_reports_attempt_failures_where_the_fault_hit():
     deliveries = [
         Delivery(request_id=request_id, instance_name=name,
                  machine_name="m0", arrival_time=0.0, submitted_at=0.0,
-                 deliver_at=0.001, batch_size=1, qos="standard", attempt=0)
+                 deliver_at=0.001, batch_size=1, qos="standard")
         for request_id, name in enumerate([on_gpu1, elsewhere])]
     outcome = worker.run_epoch(0.01, deliveries)
     assert [(f.request_id, f.time, f.where) for f in outcome.failures] == [

@@ -66,8 +66,7 @@ def random_delivery(rng) -> Delivery:
         submitted_at=float(rng.uniform(0.0, 1e4)),
         deliver_at=float(rng.uniform(0.0, 1e4)),
         batch_size=int(rng.integers(1, 64)),
-        qos=str(rng.choice(QOS)),
-        attempt=int(rng.integers(0, 5)))
+        qos=str(rng.choice(QOS)))
 
 
 def random_outcome(rng, rows: int) -> EpochOutcome:
