@@ -104,9 +104,6 @@ class MachineAuditor:
 
     # -- FlowNetwork observer hooks ------------------------------------------------
 
-    def on_flow_started(self, flow: "Flow") -> None:
-        pass
-
     def on_flow_completed(self, flow: "Flow") -> None:
         # ``FlowNetwork._complete`` zeroes ``remaining`` before this
         # hook, so a completed flow progressed exactly ``nbytes``.

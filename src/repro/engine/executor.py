@@ -7,7 +7,9 @@ forwarding layers to the primary over NVLink as they land; the
 *execution stream* runs layers in order, waiting on a per-layer CUDA
 event for loaded layers and skipping the dependency check for DHA layers.
 
-Everything is a :mod:`repro.simkit` process issuing real transfers on the
+The execution stream is a :mod:`repro.simkit` process; the load and
+migration streams are chains of event callbacks, each step attached to
+the event it waits on.  All of them issue real transfers on the
 machine's links, so two concurrent cold-starts contend exactly where the
 hardware would make them contend.
 """
@@ -15,7 +17,6 @@ hardware would make them contend.
 from __future__ import annotations
 
 import dataclasses
-
 import typing
 import weakref
 
@@ -187,6 +188,11 @@ class _PlanRunner:
         self.secondaries = secondaries
         self.batch = plan.batch_size
         self.detailed_traces = detailed_traces
+        #: Landing instant of each loaded layer, set by _mark_ready.
+        self._landed: dict[int, float] = {}
+        #: Per-layer ready events: every loaded layer's up front on the
+        #: per-layer and baseline paths, otherwise only those the
+        #: execution stream waits on.
         self._ready: dict[int, Event] = {}
         self._lane_bytes: dict[int, int] = {}
         self._lane_span: dict[int, tuple[float, float]] = {}
@@ -194,18 +200,20 @@ class _PlanRunner:
     # -- top-level ----------------------------------------------------------------
 
     def run(self) -> typing.Generator[Event, object, ExecutionResult]:
-        started_at = self.sim.now
+        sim = self.sim
+        started_at = sim.now
         plan = self.plan
-        for i in plan.loaded_indices():
-            self._ready[i] = self.sim.event(name=f"ready:{i}")
-
-        self.sim.process(self._primary_load_stream(), name="load-stream")
-        for partition_index, secondary in enumerate(self.secondaries, start=1):
-            self.sim.process(
-                self._secondary_pipeline(partition_index, secondary),
-                name=f"secondary-{secondary}")
-
         pipelined = plan.strategy != "baseline"
+        if self.detailed_traces or not pipelined:
+            for i in plan.loaded_indices():
+                self._ready[i] = sim.event(name=f"ready:{i}")
+
+        # Each stream starts in its own same-instant slot, after the
+        # actions already due now — where a process started here would
+        # take its first step.
+        for partition, gpu in enumerate((self.primary, *self.secondaries)):
+            sim._schedule_callback(_LoadStream(self, partition, gpu).start)
+
         if not pipelined and self._ready:
             yield all_of(self.sim, list(self._ready.values()))
 
@@ -276,77 +284,13 @@ class _PlanRunner:
         first, _ = self._lane_span.get(gpu, (start, start))
         self._lane_span[gpu] = (min(first, start), self.sim.now)
 
-    def _launch_load_flow(self, gpu: int, indices: list[int],
-                          weight: float) -> list[Event]:
-        """Start one bulk PCIe flow covering a run of layer copies.
-
-        Per-copy DMA setup overhead is folded in as equivalent wire bytes
-        (identical timing to back-to-back copies on an uncontended lane),
-        and a milestone event marks each layer boundary — so a whole
-        partition costs one flow instead of one per layer.
-        """
-        spec = self.machine.spec
-        overhead_bytes = spec.pcie_copy_overhead * spec.pcie_lane_bandwidth
-        offsets = []
-        total = 0.0
-        for i in indices:
-            total += overhead_bytes + self.plan.model.layers[i].param_bytes
-            offsets.append(total)
-        _, milestones = self.machine.network.transfer_with_milestones(
-            self.machine.pcie_path(gpu), total, offsets, weight=weight)
-        return milestones
-
-    def _primary_load_stream(self) -> typing.Generator[Event, object, None]:
-        """The load stream: partition 0's layers, in order, one flow."""
-        indices = self.plan.loaded_indices_in(0)
-        if not indices:
-            return
-        start = self.sim.now
-        milestones = self._launch_load_flow(self.primary, indices, 1.0)
-        for i, landed in zip(indices, milestones):
-            yield landed
-            self._ready[i].succeed(self.sim.now)
-        self._account_lane(self.primary,
-                           self.plan.partition_load_bytes(0), start)
-
-    def _secondary_pipeline(self, partition_index: int,
-                            secondary: int) -> typing.Generator[Event, object, None]:
-        """Load partition ``partition_index`` on *secondary*, forwarding
-        layers to the primary over NVLink as they land.
-
-        The migration stream forwards the *run* of layers that landed
-        since it last woke as one NVLink copy — per-layer forwarding when
-        it keeps up (NVLink is ~4x faster than the lane), naturally
-        batching when it falls behind.
-        """
-        indices = self.plan.loaded_indices_in(partition_index)
-        if not indices:
-            return
-        start = self.sim.now
-        milestones = self._launch_load_flow(secondary, indices,
-                                            SECONDARY_LOAD_WEIGHT)
-        staging_bytes = self.plan.partition_load_bytes(partition_index)
-        staging_tag = f"staging:{self.plan.model.name}:{id(self)}:{partition_index}"
-        memory = self.machine.gpu(secondary).memory
-        memory.reserve_staging(staging_tag, staging_bytes)
-        try:
-            position = 0
-            while position < len(indices):
-                yield milestones[position]
-                run_end = position + 1
-                while (run_end < len(indices)
-                       and milestones[run_end].triggered):
-                    run_end += 1
-                nbytes = sum(self.plan.model.layers[i].param_bytes
-                             for i in indices[position:run_end])
-                yield self.machine.device_to_device(secondary, self.primary,
-                                                    nbytes)
-                for i in indices[position:run_end]:
-                    self._ready[i].succeed(self.sim.now)
-                position = run_end
-            self._account_lane(secondary, staging_bytes, start)
-        finally:
-            memory.release_staging(staging_tag)
+    def _mark_ready(self, i: int) -> None:
+        """Record layer *i*'s landing; wake its ready event, if any."""
+        now = self.sim._now
+        self._landed[i] = now
+        event = self._ready.get(i)
+        if event is not None:
+            event.succeed(now)
 
     # -- execution stream ----------------------------------------------------------------
 
@@ -358,7 +302,7 @@ class _PlanRunner:
             wait_start = self.sim.now
             if layer.loadable and method is ExecMethod.LOAD:
                 yield self._ready[i]
-                ready_at = typing.cast(float, self._ready[i].value)
+                ready_at = self._landed[i]
                 stall = self.sim.now - wait_start
                 start = self.sim.now
                 yield self.sim.timeout(
@@ -382,11 +326,13 @@ class _PlanRunner:
         Runs of layers that never wait (parameter-free, plus the
         in-memory execution following each loaded layer) collapse into a
         single timeout; per-layer waits are skipped when the parameter
-        landed before the execution stream got there.  Returns the summed
-        stall time.
+        landed before the execution stream got there, and a ready event
+        exists only for a layer the stream does wait on.  Returns the
+        summed stall time.
         """
         total_stall = 0.0
         sim = self.sim
+        landed = self._landed
         network = self.machine.network
         path = self.machine.pcie_path(self.primary)
         for kind, value in _cold_exec_segments(self.plan, self.costs):
@@ -404,12 +350,13 @@ class _PlanRunner:
                 if resumed < compute_end:
                     resumed = compute_end
                 yield sim.timeout_at(resumed + tail + extra)
-            else:
-                ready = self._ready[typing.cast(int, value)]
-                if not ready.triggered:
-                    wait_start = self.sim.now
-                    yield ready
-                    total_stall += self.sim.now - wait_start
+            elif value not in landed:
+                ready = self._ready.get(value)
+                if ready is None:
+                    ready = self._ready[value] = Event(sim, name="ready")
+                wait_start = sim.now
+                yield ready
+                total_stall += sim.now - wait_start
         return total_stall
 
     def _run_dha_layer(self, i: int, tail_extra: float = 0.0
@@ -448,6 +395,100 @@ class _PlanRunner:
             resumed = compute_end
         yield self.sim.timeout_at(
             resumed + (DHA_KERNEL_PENALTY + act_time) + tail_extra)
+
+
+class _LoadStream:
+    """One partition's load stream, driven by event callbacks.
+
+    The partition's layers cross *gpu*'s PCIe lane as one flow with a
+    milestone per layer; per-copy DMA setup overhead is folded in as
+    equivalent wire bytes (identical timing to back-to-back copies on an
+    uncontended lane).  On the primary (partition 0) a landed layer is
+    ready at once.  A secondary loads at :data:`SECONDARY_LOAD_WEIGHT`
+    into a staging buffer and forwards the *run* of layers landed since
+    it last woke as one NVLink copy — per-layer forwarding when it keeps
+    up (NVLink is ~4x faster than the lane), batching when it falls
+    behind; the run is ready when the copy lands.
+
+    Each step attaches to the event it waits on with ``add_callback``,
+    which queues it where a process yielding that event would resume,
+    so same-instant order is a process's.  Errors (a staging buffer
+    larger than the secondary's workspace) propagate out of the
+    simulator run.
+    """
+
+    __slots__ = ("runner", "partition", "gpu", "indices", "milestones",
+                 "position", "run_end", "started")
+
+    def __init__(self, runner: _PlanRunner, partition: int,
+                 gpu: int) -> None:
+        self.runner = runner
+        self.partition = partition
+        self.gpu = gpu
+        self.position = self.run_end = 0
+
+    @property
+    def _staging_tag(self) -> str:
+        runner = self.runner
+        return (f"staging:{runner.plan.model.name}:{id(runner)}:"
+                f"{self.partition}")
+
+    def start(self) -> None:
+        runner = self.runner
+        machine, plan = runner.machine, runner.plan
+        self.indices = indices = plan.loaded_indices_in(self.partition)
+        if not indices:
+            return
+        self.started = runner.sim.now
+        spec = machine.spec
+        overhead_bytes = spec.pcie_copy_overhead * spec.pcie_lane_bandwidth
+        offsets = []
+        total = 0.0
+        for i in indices:
+            total += overhead_bytes + plan.model.layers[i].param_bytes
+            offsets.append(total)
+        weight = SECONDARY_LOAD_WEIGHT if self.partition else 1.0
+        _, self.milestones = machine.network.transfer_with_milestones(
+            machine.pcie_path(self.gpu), total, offsets, weight=weight)
+        if self.partition:
+            machine.gpu(self.gpu).memory.reserve_staging(
+                self._staging_tag, plan.partition_load_bytes(self.partition))
+        self.milestones[0].add_callback(self._landed)
+
+    def _landed(self, _event: Event) -> None:
+        position = self.position
+        if self.partition == 0:
+            self.runner._mark_ready(self.indices[position])
+            self.position = position + 1
+            self._wait_next()
+            return
+        indices, milestones = self.indices, self.milestones
+        run_end = position + 1
+        while run_end < len(indices) and milestones[run_end].triggered:
+            run_end += 1
+        self.run_end = run_end
+        runner = self.runner
+        layers = runner.plan.model.layers
+        nbytes = sum(layers[i].param_bytes for i in indices[position:run_end])
+        runner.machine.device_to_device(
+            self.gpu, runner.primary, nbytes).add_callback(self._forwarded)
+
+    def _forwarded(self, _event: Event) -> None:
+        for i in self.indices[self.position:self.run_end]:
+            self.runner._mark_ready(i)
+        self.position = self.run_end
+        self._wait_next()
+
+    def _wait_next(self) -> None:
+        if self.position < len(self.indices):
+            self.milestones[self.position].add_callback(self._landed)
+            return
+        runner = self.runner
+        nbytes = runner.plan.partition_load_bytes(self.partition)
+        runner._account_lane(self.gpu, nbytes, self.started)
+        if self.partition:
+            runner.machine.gpu(self.gpu).memory.release_staging(
+                self._staging_tag)
 
 
 # Segment schedules are cached by *identity* of (plan, cost model): the

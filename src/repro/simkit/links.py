@@ -86,7 +86,7 @@ class Flow:
 
     __slots__ = ("id", "path", "nbytes", "remaining", "rate", "max_rate",
                  "weight", "done", "started_at", "milestones",
-                 "_next_milestone")
+                 "_next_milestone", "_next_offset")
 
     _ids = itertools.count()
 
@@ -108,6 +108,9 @@ class Flow:
         #: without per-copy flow churn.  Most flows carry none.
         self.milestones = milestones
         self._next_milestone = 0
+        #: Byte offset of the next unfired milestone (``inf`` when none
+        #: is left), so the wake-up arithmetic reads one attribute.
+        self._next_offset = milestones[0][0] if milestones else _INF
 
     @property
     def progressed(self) -> float:
@@ -122,6 +125,24 @@ class Flow:
             milestones[i][1].succeed(self)
             i += 1
         self._next_milestone = i
+        self._next_offset = milestones[i][0] if i < n else _INF
+
+    def time_to_next_event(self) -> float:
+        """Seconds until this flow's next milestone or completion.
+
+        ``inf`` for a rate-starved flow.  :meth:`FlowNetwork._settle`
+        repeats this arithmetic inline, term for term.
+        """
+        rate = self.rate
+        if rate <= 0.0:
+            return _INF
+        remaining = self.remaining
+        # A milestone distance of 0.0 (or less, for a crossed milestone
+        # not yet fired) is a real target.
+        to_milestone = self._next_offset - (self.nbytes - remaining)
+        if to_milestone < remaining:
+            return to_milestone / rate
+        return remaining / rate
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Flow #{self.id} {self.remaining:.0f}/{self.nbytes:.0f}B "
@@ -146,8 +167,8 @@ class FlowNetwork:
             incremental = fastpath.enabled()
         self._incremental = incremental
         #: Optional audit hook (see :mod:`repro.audit`).  When set, it
-        #: receives ``on_flow_started(flow)``, ``on_flow_completed(flow)``
-        #: and ``on_rates_assigned(network, flows)`` callbacks, where
+        #: receives ``on_flow_completed(flow)`` and
+        #: ``on_rates_assigned(network, flows)`` callbacks, where
         #: *flows* are the flows just filled (closed under link sharing:
         #: every flow on their links is among them); ``None`` (the
         #: default) costs one attribute check per rate change.
@@ -207,12 +228,12 @@ class FlowNetwork:
         bandwidth = float(bandwidth)
         if bandwidth == link.bandwidth:
             return
-        completed = self._settle()
+        completed, _ = self._settle()
         link.bandwidth = bandwidth
         flows = self._link_flows.get(link)
         if not flows:
             return
-        self._rebalance(completed, changed=sorted(flows, key=_flow_id))
+        self._rebalance(completed, None, changed=sorted(flows, key=_flow_id))
 
     def reference_fair_rates(self) -> dict[Flow, float]:
         """Whole-network progressive filling, without touching flow state.
@@ -272,12 +293,10 @@ class FlowNetwork:
 
     def _start(self, flow: Flow) -> None:
         flow.started_at = self.sim._now
-        if self.observer is not None:
-            self.observer.on_flow_started(flow)
         if flow.remaining <= _EPSILON_BYTES:
             self._complete(flow)
             return
-        completed = self._settle()
+        completed, wait = self._settle()
         self._active[flow] = None
         for link in flow.path:
             flows = self._link_flows.get(link)
@@ -291,7 +310,7 @@ class FlowNetwork:
         # milestone instead of deferring them to flow completion.
         if flow.milestones:
             flow.fire_due_milestones()
-        self._rebalance(completed, started=flow)
+        self._rebalance(completed, wait, started=flow)
 
     def _complete(self, flow: Flow) -> None:
         """The one completion point of a flow (already off the network).
@@ -311,14 +330,18 @@ class FlowNetwork:
         if self.observer is not None:
             self.observer.on_flow_completed(flow)
 
-    def _settle(self, fire_milestones: bool = False) -> list[Flow]:
+    def _settle(self, fire_milestones: bool = False
+                ) -> tuple[list[Flow], float]:
         """Credit progress for time elapsed since the last rate change.
 
         One pass over the active flows, in start order.  Returns the
-        flows now within the completion epsilon; the caller completes
-        them in :meth:`_rebalance`.  With *fire_milestones* (timer
-        wake-ups) each flow's due milestones fire in the same pass, so
-        every milestone fires before any done event of the wake-up.
+        flows now within the completion epsilon (the caller completes
+        them in :meth:`_rebalance`) and the next wake-up's wait over the
+        others — :meth:`Flow.time_to_next_event` at their current rates,
+        which is the timer's wait whenever no rate changes before it is
+        armed.  With *fire_milestones* (timer wake-ups) each flow's due
+        milestones fire in the same pass, so every milestone fires
+        before any done event of the wake-up.
 
         The credit is clamped at the flow's residual bytes: a wake-up
         that lands past the flow's exact completion instant (superseded
@@ -331,10 +354,12 @@ class FlowNetwork:
         elapsed = now - self._last_settle
         self._last_settle = now
         completed: list[Flow] = []
+        wait = _INF
         for flow in self._active:
             remaining = flow.remaining
+            rate = flow.rate
             # Zero elapsed time moves zero bytes: rates are finite.
-            moved = flow.rate * elapsed
+            moved = rate * elapsed
             if moved > 0.0:
                 if moved >= remaining:
                     moved = remaining if remaining > 0.0 else 0.0
@@ -342,13 +367,22 @@ class FlowNetwork:
                 flow.remaining = remaining
                 for link in flow.path:
                     link.bytes_carried += moved
-            if fire_milestones and flow.milestones:
+            if (fire_milestones and flow._next_offset
+                    <= (flow.nbytes - remaining) + _EPSILON_BYTES):
                 flow.fire_due_milestones()
             if remaining <= _EPSILON_BYTES:
                 completed.append(flow)
-        return completed
+            elif rate > 0.0:
+                # Flow.time_to_next_event, inlined.
+                to_milestone = flow._next_offset - (flow.nbytes - remaining)
+                candidate = (to_milestone if to_milestone < remaining
+                             else remaining) / rate
+                if candidate < wait:
+                    wait = candidate
+        return completed, wait
 
     def _rebalance(self, completed: typing.Sequence[Flow],
+                   wait: float | None,
                    started: Flow | None = None,
                    changed: typing.Sequence[Flow] = ()) -> None:
         """Complete *completed*, recompute fair rates, re-arm the timer.
@@ -360,6 +394,11 @@ class FlowNetwork:
         hears the flows refilled: ``(started,)`` for a lone start, the
         sorted component, every active flow on the slow path, or ``()``
         when no flow is left on the links of *completed*.
+
+        *wait* is :meth:`_settle`'s wait over the flows active before
+        *started* joined.  It arms the timer when no survivor's rate
+        changes here (no fill, or a lone start, whose own wait joins
+        it); after any other fill, or with ``None``, the timer rescans.
         """
         active = self._active
         seeds: list[Flow] = [] if started is None else [started]
@@ -381,67 +420,65 @@ class FlowNetwork:
         if not self._incremental:
             self._fill_all_components()
             filled = tuple(active)
+            wait = None
         elif started is not None and not completed and not changed:
             # A flow just started and nothing finished: its component
             # seeds the fill, and when its links carry nothing else the
-            # component is the flow alone — no walk, no sort.
+            # component is the flow alone — no walk, no sort, and no
+            # other flow's rate moves.
             link_flows = self._link_flows
             filled = (started,)
             for link in started.path:
                 if len(link_flows[link]) > 1:
                     filled = sorted(self._component_of(filled),
                                     key=_flow_id)
+                    wait = None
                     break
             self._fill(filled)
+            if wait is not None:
+                own = started.time_to_next_event()
+                if own < wait:
+                    wait = own
         elif seeds:
             filled = sorted(self._component_of(seeds), key=_flow_id)
             self._fill(filled)
+            wait = None
         # Also when *filled* is empty: the last completion of a run
         # leaves the network quiescent, and auditors need that final
         # allocation, or their ledgers end one assignment short.
         if self.observer is not None:
             self.observer.on_rates_assigned(self, filled)
-        self._arm_timer()
+        self._arm_timer(wait)
 
     def _on_timer(self, token: int) -> None:
         if token != self._timer_token:
             return  # superseded by a later rebalance
-        completed = self._settle(fire_milestones=True)
+        completed, wait = self._settle(fire_milestones=True)
         if completed:
-            self._rebalance(completed)
+            self._rebalance(completed, wait)
             return
         # A milestone-only wake-up: no flow started or finished, so the
         # allocation is already the fair one (on both paths), no rate
-        # changed and only the timer moves.
-        self._arm_timer()
+        # changed and only the timer moves — to the wait _settle found
+        # (the slow path rescans).
+        self._arm_timer(wait if self._incremental else None)
 
-    def _arm_timer(self) -> None:
+    def _scan_wait(self) -> float:
+        """The next wake-up's wait: the min over active flows of
+        :meth:`Flow.time_to_next_event`, ``inf`` when none has one."""
+        return min((flow.time_to_next_event() for flow in self._active),
+                   default=_INF)
+
+    def _arm_timer(self, wait: float | None = None) -> None:
         """Schedule the next wake-up, superseding any pending one.
 
         The timer fires at the earliest flow completion *or* milestone
-        crossing, whichever comes first.
+        crossing, whichever comes first: after *wait* seconds, or, with
+        ``None``, after the wait a full :meth:`_scan_wait` finds.
         """
         self._timer_token += 1
-        # The wait is the min over flows of bytes-to-next-event / rate,
-        # where the next event is completion or the next milestone
-        # crossing (a milestone distance of 0.0 is a real target).  Most
-        # flows carry no milestones, so each is a pair of attribute loads
-        # and a divide.
-        wait = _INF
-        for flow in self._active:
-            rate = flow.rate
-            if rate <= 0.0:
-                continue
-            nbytes = flow.remaining
-            milestones = flow.milestones
-            if flow._next_milestone < len(milestones):
-                to_milestone = (milestones[flow._next_milestone][0]
-                                - (flow.nbytes - flow.remaining))
-                if to_milestone < nbytes:
-                    nbytes = to_milestone
-            candidate = nbytes / rate
-            if candidate < wait:
-                wait = candidate
+        if wait is None:
+            wait = self._scan_wait()
         if wait == _INF:
             # No active flow, or every one is rate-starved (e.g. links
             # drained to a zero residual by float-exhausted allocations);

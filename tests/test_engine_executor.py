@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import DeepPlan, Strategy
 from repro.engine import execute_plan, execute_warm
+from repro.errors import OutOfGPUMemoryError
 from repro.hw.machine import Machine
 from repro.hw.specs import p3_8xlarge
 from repro.models import build_model
@@ -105,6 +106,21 @@ class TestColdStart:
         machine = fresh_machine()
         run(machine, execute_plan(machine, planner.cost_model, plan, 0, [2]))
         assert machine.gpu(2).memory.staging_used_bytes == 0
+
+    @pytest.mark.parametrize("detailed", [True, False])
+    def test_load_stream_error_propagates(self, planner, detailed):
+        """A secondary whose workspace cannot stage its partition fails
+        the run with that error, not with the execution stream starved
+        of the partition's layers."""
+        model = build_model("bert-large")
+        plan = planner.plan(model, Strategy.PT_DHA)
+        secondaries = planner.secondary_gpus(0, plan)
+        assert secondaries
+        machine = fresh_machine()
+        machine.gpu(secondaries[0]).memory.workspace_bytes = 1
+        with pytest.raises(OutOfGPUMemoryError, match="staging"):
+            run(machine, execute_plan(machine, planner.cost_model, plan, 0,
+                                      secondaries, detailed_traces=detailed))
 
 
 class TestWarmExecution:

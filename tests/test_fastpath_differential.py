@@ -18,8 +18,12 @@ implementations, to the bit where the issue demands it.
   slice under every strategy and an oversubscribed fig13 point — on the
   default path and with the fast path forced off, and requires equal
   per-request timelines.
+* ``TestColdPathPins`` pins the per-request timelines of two
+  cold-start-heavy replays to committed digests, so any change to the
+  cold path's same-instant order shows up outside the benchmark too.
 """
 
+import hashlib
 import math
 import random
 
@@ -56,9 +60,6 @@ class _RateAuditor:
         self.comparisons = 0
         self.worst = 0.0
 
-    def on_flow_started(self, flow) -> None:
-        pass
-
     def on_flow_completed(self, flow) -> None:
         pass
 
@@ -90,10 +91,6 @@ class RateEventChecker:
         self.events = 0
         #: Each active flow's rate at the previous event.
         self._rates: dict = {}
-
-    def on_flow_started(self, flow) -> None:
-        if self.inner is not None:
-            self.inner.on_flow_started(flow)
 
     def on_flow_completed(self, flow) -> None:
         if self.inner is not None:
@@ -197,19 +194,21 @@ class TestIncrementalFairShare:
             network = FlowNetwork(sim, incremental=incremental)
             observed: list[tuple] = []
             # Flow ids count globally across networks; number the flows
-            # per run so the two traces are comparable.
+            # per run, on first sight in id order, so the two traces are
+            # comparable.
             local: dict[int, int] = {}
 
-            class Recorder:
-                def on_flow_started(self, flow) -> None:
-                    local[flow.id] = len(local)
+            def number(flow) -> int:
+                return local.setdefault(flow.id, len(local))
 
+            class Recorder:
                 def on_flow_completed(self, flow) -> None:
-                    observed.append(("done", local[flow.id], sim.now))
+                    observed.append(("done", number(flow), sim.now))
 
                 def on_rates_assigned(self, net, flows) -> None:
+                    active = sorted(net.active_flows, key=lambda f: f.id)
                     observed.append(("rates", sim.now, tuple(sorted(
-                        (local[f.id], f.rate) for f in net.active_flows))))
+                        (number(f), f.rate) for f in active))))
 
             network.observer = Recorder()
             _run_traffic(network, flow_seed, milestones=True)
@@ -228,9 +227,6 @@ class TestIncrementalFairShare:
         events: list[tuple] = []
 
         class Recorder:
-            def on_flow_started(self, flow) -> None:
-                pass
-
             def on_flow_completed(self, flow) -> None:
                 pass
 
@@ -244,6 +240,34 @@ class TestIncrementalFairShare:
         assert all(event.triggered for event in milestones)
         flow = done.value
         assert events == [(flow,), ()]
+
+    @pytest.mark.parametrize("incremental", [True, False])
+    def test_armed_wait_matches_full_scan(self, flow_seed, incremental):
+        """Every wake-up armed from the settle pass (milestone-only
+        wake-ups, lone completions and lone starts) waits exactly as
+        long as a full rescan of the active flows would; the slow path
+        always rescans."""
+        network = FlowNetwork(Simulator(), incremental=incremental)
+        arm = network._arm_timer
+        shortcuts = 0
+        # Recorded, not asserted in place: a flow starting inside a
+        # driver process would turn the assertion into that process's
+        # failure, which nothing waits on.
+        mismatches: list[tuple[float, float, float]] = []
+
+        def checked_arm(wait=None) -> None:
+            nonlocal shortcuts
+            if wait is not None:
+                shortcuts += 1
+                scanned = network._scan_wait()
+                if wait != scanned:
+                    mismatches.append((network.sim.now, wait, scanned))
+            arm(wait)
+
+        network._arm_timer = checked_arm
+        _run_traffic(network, flow_seed, milestones=True)
+        assert mismatches == [], "(time, armed wait, full scan's wait)"
+        assert (shortcuts > 0) == incremental
 
 
 class TestLargeComponent:
@@ -384,3 +408,54 @@ class TestServingReplayIdentity:
                                           seed=11).generate())
         assert report.metrics.cold_start_count > 0
         assert report.evictions > 0
+
+
+def _timeline_digest(report) -> str:
+    """sha256 over ``(request_id, started_at, finished_at, cold_start)``,
+    by request id, with exact float reprs."""
+    text = "".join(f"{rid} {started!r} {finished!r} {int(cold)}\n"
+                   for rid, started, finished, cold
+                   in sorted(_timelines(report)))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestColdPathPins:
+    """Cold-start-heavy pt+dha replays reproduce pinned timelines.
+
+    A cold start runs the load stream, the secondary's load-and-forward
+    pipeline, per-layer readiness and the flow engine's wake-ups at
+    shared instants; reordering any of them moves some request's start
+    or finish by at least an ulp.  The digests were captured before the
+    load streams became event callbacks, and no change that keeps
+    outputs bit-identical may move them.
+    """
+
+    def _replay(self, catalog, rate: float, count: int, seed: int):
+        server = InferenceServer(Machine(Simulator(), p3_8xlarge()),
+                                 DeepPlan(p3_8xlarge(), noise=0.0),
+                                 ServerConfig(strategy="pt+dha"))
+        server.deploy([(build_model(name), n) for name, n in catalog])
+        report = server.run(PoissonWorkload(
+            list(server.instances), rate=rate, num_requests=count,
+            seed=seed).generate())
+        assert any(instance.plan.uses_parallel_transmission
+                   for instance in server.instances.values())
+        assert report.metrics.cold_start_count > 0
+        assert report.evictions > 0
+        return report
+
+    def test_oversubscribed_fig13_point(self):
+        """TestServingReplayIdentity's fig13 point: 180 BERT-Base
+        instances at 100 req/s."""
+        report = self._replay((("bert-base", 180),), 100.0, 400, 11)
+        assert _timeline_digest(report) == (
+            "3b112ced433013b21154a7163987c818d2947427b9a25fe06a1bd862a6d58ffc")
+
+    def test_storm_mix_replay(self):
+        """The e2e cold_storm mix of large models at 20 req/s: 300
+        requests, about two thirds of them cold starts."""
+        report = self._replay(
+            (("bert-large", 40), ("gpt2-medium", 16), ("resnet101", 40),
+             ("roberta-large", 24)), 20.0, 300, 7)
+        assert _timeline_digest(report) == (
+            "0c30cab0c96349f757f7bd6ff16ee86bbcc68b40801f663de926353043bc3a96")
