@@ -7,9 +7,10 @@ forwarding layers to the primary over NVLink as they land; the
 *execution stream* runs layers in order, waiting on a per-layer CUDA
 event for loaded layers and skipping the dependency check for DHA layers.
 
-The execution stream is a :mod:`repro.simkit` process; the load and
-migration streams are chains of event callbacks, each step attached to
-the event it waits on.  All of them issue real transfers on the
+The execution stream is a :mod:`repro.simkit` process that sleeps once
+per real wait; the load and migration streams are chains of callbacks,
+stepped by their flow's milestone crossings and by each NVLink copy's
+done event.  All of them issue real transfers on the
 machine's links, so two concurrent cold-starts contend exactly where the
 hardware would make them contend.
 """
@@ -325,20 +326,32 @@ class _PlanRunner:
 
         Runs of layers that never wait (parameter-free, plus the
         in-memory execution following each loaded layer) collapse into a
-        single timeout; per-layer waits are skipped when the parameter
-        landed before the execution stream got there, and a ready event
-        exists only for a layer the stream does wait on.  Returns the
-        summed stall time.
+        single timeout.  The stream also *runs through* each wait whose
+        layer had already landed when it last resumed: the ``exec``
+        segments on either side extend one pending sleep, summed left to
+        right (``((now + v1) + v2) + ...``) exactly as back-to-back
+        timeouts would land.  The sleep is taken at a DHA segment, at a
+        wait on a layer not landed yet (which is checked again when the
+        sleep ends) and at the end.  A ready event exists only for a
+        layer the stream does wait on.  Returns the summed stall time.
         """
         total_stall = 0.0
         sim = self.sim
         landed = self._landed
         network = self.machine.network
         path = self.machine.pcie_path(self.primary)
+        run_end: float | None = None
         for kind, value in _cold_exec_segments(self.plan, self.costs):
             if kind == "exec":
-                yield sim.timeout(typing.cast(float, value))
-            elif kind == "dha":
+                run_end = (sim._now if run_end is None
+                           else run_end) + typing.cast(float, value)
+                continue
+            if kind == "wait" and value in landed:
+                continue
+            if run_end is not None:
+                yield sim.timeout_at(run_end)
+                run_end = None
+            if kind == "dha":
                 # Inlined DHA body (see run_warm): one generator frame
                 # fewer per event.  Same arithmetic as _run_dha_layer.
                 traffic, max_rate, compute, tail, extra = \
@@ -357,6 +370,8 @@ class _PlanRunner:
                 wait_start = sim.now
                 yield ready
                 total_stall += sim.now - wait_start
+        if run_end is not None:
+            yield sim.timeout_at(run_end)
         return total_stall
 
     def _run_dha_layer(self, i: int, tail_extra: float = 0.0
@@ -398,7 +413,7 @@ class _PlanRunner:
 
 
 class _LoadStream:
-    """One partition's load stream, driven by event callbacks.
+    """One partition's load stream, driven by milestone callbacks.
 
     The partition's layers cross *gpu*'s PCIe lane as one flow with a
     milestone per layer; per-copy DMA setup overhead is folded in as
@@ -410,15 +425,18 @@ class _LoadStream:
     up (NVLink is ~4x faster than the lane), batching when it falls
     behind; the run is ready when the copy lands.
 
-    Each step attaches to the event it waits on with ``add_callback``,
-    which queues it where a process yielding that event would resume,
-    so same-instant order is a process's.  Errors (a staging buffer
-    larger than the secondary's workspace) propagate out of the
-    simulator run.
+    Every milestone's target is :meth:`_crossed`, which counts the
+    crossing and queues :meth:`_step` in the same-instant slot a
+    milestone event's dispatch would take.  The stream advances from the
+    slot of the milestone it waits on, or from a fresh slot when that
+    slot already ran (as ``add_callback`` on a dispatched event would),
+    so same-instant order is that of a process waiting on per-layer
+    events.  Errors (a staging buffer larger than the secondary's
+    workspace) propagate out of the simulator run.
     """
 
-    __slots__ = ("runner", "partition", "gpu", "indices", "milestones",
-                 "position", "run_end", "started")
+    __slots__ = ("runner", "partition", "gpu", "indices", "crossed",
+                 "stepped", "waiting", "position", "run_end", "started")
 
     def __init__(self, runner: _PlanRunner, partition: int,
                  gpu: int) -> None:
@@ -426,6 +444,10 @@ class _LoadStream:
         self.partition = partition
         self.gpu = gpu
         self.position = self.run_end = 0
+        #: Milestones crossed, and how many of their slots have run.
+        self.crossed = self.stepped = 0
+        #: The milestone whose slot advances the stream (-1: none).
+        self.waiting = 0
 
     @property
     def _staging_tag(self) -> str:
@@ -442,34 +464,43 @@ class _LoadStream:
         self.started = runner.sim.now
         spec = machine.spec
         overhead_bytes = spec.pcie_copy_overhead * spec.pcie_lane_bandwidth
-        offsets = []
+        milestones = []
         total = 0.0
+        crossed = self._crossed
         for i in indices:
             total += overhead_bytes + plan.model.layers[i].param_bytes
-            offsets.append(total)
+            milestones.append((total, crossed))
         weight = SECONDARY_LOAD_WEIGHT if self.partition else 1.0
-        _, self.milestones = machine.network.transfer_with_milestones(
-            machine.pcie_path(self.gpu), total, offsets, weight=weight)
+        machine.network.transfer(machine.pcie_path(self.gpu), total,
+                                 weight=weight, milestones=milestones)
         if self.partition:
             machine.gpu(self.gpu).memory.reserve_staging(
                 self._staging_tag, plan.partition_load_bytes(self.partition))
-        self.milestones[0].add_callback(self._landed)
 
-    def _landed(self, _event: Event) -> None:
+    def _crossed(self, _flow: object) -> None:
+        self.crossed += 1
+        self.runner.sim._ripe.append(self._step)
+
+    def _step(self) -> None:
+        k = self.stepped
+        self.stepped = k + 1
+        if self.waiting == k:
+            self.waiting = -1
+            self._landed()
+
+    def _landed(self) -> None:
         position = self.position
         if self.partition == 0:
             self.runner._mark_ready(self.indices[position])
             self.position = position + 1
             self._wait_next()
             return
-        indices, milestones = self.indices, self.milestones
-        run_end = position + 1
-        while run_end < len(indices) and milestones[run_end].triggered:
-            run_end += 1
-        self.run_end = run_end
+        # Milestones cross in order: the run is every layer crossed so far.
+        self.run_end = run_end = self.crossed
         runner = self.runner
         layers = runner.plan.model.layers
-        nbytes = sum(layers[i].param_bytes for i in indices[position:run_end])
+        nbytes = sum(layers[i].param_bytes
+                     for i in self.indices[position:run_end])
         runner.machine.device_to_device(
             self.gpu, runner.primary, nbytes).add_callback(self._forwarded)
 
@@ -480,8 +511,14 @@ class _LoadStream:
         self._wait_next()
 
     def _wait_next(self) -> None:
-        if self.position < len(self.indices):
-            self.milestones[self.position].add_callback(self._landed)
+        position = self.position
+        if position < len(self.indices):
+            if position < self.stepped:
+                # Its slot already ran: step from a fresh one, as
+                # add_callback on a dispatched event would.
+                self.runner.sim._ripe.append(self._landed)
+            else:
+                self.waiting = position
             return
         runner = self.runner
         nbytes = runner.plan.partition_load_bytes(self.partition)

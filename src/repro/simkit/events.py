@@ -64,15 +64,13 @@ class Event:
 
     def succeed(self, value: object = None) -> "Event":
         """Trigger the event successfully, delivering *value* to waiters."""
-        # _trigger and _schedule_event_dispatch, inlined: this runs once
-        # per successful event, which is nearly every action the
-        # simulator executes.
+        # _trigger, inlined: this runs once per successful event, which
+        # is nearly every action the simulator executes.
         if self._state is not _PENDING:
             raise RuntimeError(f"event {self!r} already triggered")
         self._state = _SUCCEEDED
         self._value = value
-        sim = self.sim
-        sim._ripe.append((next(sim._sequence), self._dispatch))
+        self.sim._ripe.append(self._dispatch)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -87,7 +85,7 @@ class Event:
             raise RuntimeError(f"event {self!r} already triggered")
         self._state = state
         self._value = value
-        self.sim._schedule_event_dispatch(self)
+        self.sim._ripe.append(self._dispatch)
 
     def _dispatch(self) -> None:
         """Run callbacks; invoked by the simulator at the trigger time."""
@@ -105,7 +103,7 @@ class Event:
         scheduled to run immediately (at the current simulated time).
         """
         if self._callbacks is None:
-            self.sim._schedule_callback(lambda: callback(self))
+            self.sim._ripe.append(lambda: callback(self))
         else:
             self._callbacks.append(callback)
 

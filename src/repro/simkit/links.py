@@ -54,6 +54,9 @@ _INF = float("inf")
 
 _flow_id = operator.attrgetter("id")
 
+#: A milestone's target: called with the flow at the crossing.
+MilestoneTarget = typing.Callable[["Flow"], None]
+
 
 class Link:
     """A unidirectional link with a fixed capacity in bytes/second."""
@@ -79,9 +82,9 @@ class Link:
 class Flow:
     """An in-flight transfer across a path of links.
 
-    A completed flow drops its done and milestone events (those events
-    carry the flow as their value), so neither side forms a reference
-    cycle and both are freed by reference counting.
+    A completed flow drops its done event and milestone targets (the
+    events carry the flow as their value), so neither side forms a
+    reference cycle and both are freed by reference counting.
     """
 
     __slots__ = ("id", "path", "nbytes", "remaining", "rate", "max_rate",
@@ -92,7 +95,8 @@ class Flow:
 
     def __init__(self, path: typing.Sequence[Link], nbytes: float,
                  done: Event, max_rate: float | None, weight: float,
-                 milestones: typing.Sequence[tuple[float, Event]] = ()
+                 milestones: typing.Sequence[
+                     tuple[float, MilestoneTarget]] = ()
                  ) -> None:
         self.id = next(Flow._ids)
         self.path = tuple(path)
@@ -102,10 +106,11 @@ class Flow:
         self.max_rate = max_rate
         self.weight = float(weight)
         self.done: Event | None = done
-        #: (byte offset, event) pairs, ascending; each event fires when the
-        #: flow's progress crosses its offset.  Lets one bulk flow stand in
-        #: for a whole stream of back-to-back copies (one event per layer)
-        #: without per-copy flow churn.  Most flows carry none.
+        #: (byte offset, target) pairs, ascending; each target is called
+        #: with the flow when the flow's progress crosses its offset.  Lets
+        #: one bulk flow stand in for a whole stream of back-to-back copies
+        #: (one milestone per layer) without per-copy flow churn.  Most
+        #: flows carry none.
         self.milestones = milestones
         self._next_milestone = 0
         #: Byte offset of the next unfired milestone (``inf`` when none
@@ -122,7 +127,7 @@ class Flow:
         n = len(milestones)
         due = (self.nbytes - self.remaining) + _EPSILON_BYTES
         while i < n and milestones[i][0] <= due:
-            milestones[i][1].succeed(self)
+            milestones[i][1](self)
             i += 1
         self._next_milestone = i
         self._next_offset = milestones[i][0] if i < n else _INF
@@ -179,7 +184,9 @@ class FlowNetwork:
     def transfer(self, path: typing.Sequence[Link], nbytes: float,
                  setup_delay: float = 0.0,
                  max_rate: float | None = None,
-                 weight: float = 1.0) -> Event:
+                 weight: float = 1.0,
+                 milestones: typing.Sequence[
+                     tuple[float, MilestoneTarget]] = ()) -> Event:
         """Start a transfer of *nbytes* across *path*.
 
         Returns an event that succeeds (with the flow) once the last byte
@@ -189,9 +196,43 @@ class FlowNetwork:
         a DMA engine limit).  ``weight`` biases the fair share: rates are
         allocated proportionally to weight (weighted max-min fairness),
         which models DMA queue priorities.
+
+        ``milestones`` are ``(byte offset, target)`` pairs, offsets
+        ascending: each target is called with the flow when its
+        cumulative progress crosses the offset, inside the pass that
+        credits the progress, before the wake-up's done events.  A target
+        must not start, stop or resize flows; to act at the crossing it
+        queues a same-instant action (as ``Event.succeed`` does).
         """
-        return self._launch(path, nbytes, [], setup_delay, max_rate,
-                            weight)[0]
+        if nbytes < 0:
+            raise ValueError(f"cannot transfer negative bytes: {nbytes}")
+        if not path:
+            raise ValueError("transfer path must contain at least one link")
+        if weight <= 0:
+            raise ValueError(f"weight must be positive, got {weight}")
+        if max_rate is not None and max_rate <= 0:
+            # A non-positive cap would create a permanently rate-starved
+            # flow whose done event can never fire — reject it like the
+            # other argument errors instead of hanging the caller.
+            raise ValueError(f"max_rate must be positive, got {max_rate}")
+        if milestones:
+            offsets = [offset for offset, _ in milestones]
+            if offsets[0] < 0:
+                raise ValueError(f"milestone offsets must be non-negative, "
+                                 f"got {offsets[0]}")
+            if sorted(offsets) != offsets:
+                raise ValueError("milestone offsets must be ascending")
+            if offsets[-1] > nbytes + _EPSILON_BYTES:
+                raise ValueError(f"milestone {offsets[-1]} beyond flow size "
+                                 f"{nbytes}")
+        done = Event(self.sim, name="flow.done")
+        flow = Flow(path, nbytes, done, max_rate, weight, milestones)
+        if setup_delay > 0:
+            self.sim._schedule_callback(functools.partial(self._start, flow),
+                                        setup_delay)
+        else:
+            self._start(flow)
+        return done
 
     def transfer_with_milestones(
             self, path: typing.Sequence[Link], nbytes: float,
@@ -203,10 +244,16 @@ class FlowNetwork:
         Each offset in *milestone_offsets* (bytes, ascending) yields an
         event that fires when the flow's cumulative progress crosses it —
         the idiom for a load stream of back-to-back layer copies: one
-        flow, one event per layer boundary.
+        flow, one event per layer boundary.  Each event's ``succeed`` is
+        its milestone's target.
         """
-        return self._launch(path, nbytes, list(milestone_offsets),
-                            setup_delay, max_rate, weight)
+        events = [Event(self.sim, name="flow.milestone")
+                  for _ in milestone_offsets]
+        done = self.transfer(
+            path, nbytes, setup_delay, max_rate, weight,
+            [(offset, event.succeed)
+             for offset, event in zip(milestone_offsets, events)])
+        return done, events
 
     @property
     def active_flows(self) -> frozenset[Flow]:
@@ -249,48 +296,6 @@ class FlowNetwork:
 
     # -- internals --------------------------------------------------------------
 
-    def _launch(self, path: typing.Sequence[Link], nbytes: float,
-                offsets: list[float], setup_delay: float,
-                max_rate: float | None,
-                weight: float) -> tuple[Event, list[Event]]:
-        """Validate a transfer, then start its flow after *setup_delay*.
-
-        Returns the done event and one event per milestone offset.
-        """
-        if nbytes < 0:
-            raise ValueError(f"cannot transfer negative bytes: {nbytes}")
-        if not path:
-            raise ValueError("transfer path must contain at least one link")
-        if weight <= 0:
-            raise ValueError(f"weight must be positive, got {weight}")
-        if max_rate is not None and max_rate <= 0:
-            # A non-positive cap would create a permanently rate-starved
-            # flow whose done event can never fire — reject it like the
-            # other argument errors instead of hanging the caller.
-            raise ValueError(f"max_rate must be positive, got {max_rate}")
-        events: list[Event] = []
-        milestones: typing.Sequence[tuple[float, Event]] = ()
-        if offsets:
-            if offsets[0] < 0:
-                raise ValueError(f"milestone offsets must be non-negative, "
-                                 f"got {offsets[0]}")
-            if sorted(offsets) != offsets:
-                raise ValueError("milestone offsets must be ascending")
-            if offsets[-1] > nbytes + _EPSILON_BYTES:
-                raise ValueError(f"milestone {offsets[-1]} beyond flow size "
-                                 f"{nbytes}")
-            events = [Event(self.sim, name="flow.milestone")
-                      for _ in offsets]
-            milestones = list(zip(offsets, events))
-        done = Event(self.sim, name="flow.done")
-        flow = Flow(path, nbytes, done, max_rate, weight, milestones)
-        if setup_delay > 0:
-            self.sim._schedule_callback(functools.partial(self._start, flow),
-                                        setup_delay)
-        else:
-            self._start(flow)
-        return done, events
-
     def _start(self, flow: Flow) -> None:
         flow.started_at = self.sim._now
         if flow.remaining <= _EPSILON_BYTES:
@@ -316,9 +321,9 @@ class FlowNetwork:
         """The one completion point of a flow (already off the network).
 
         Fires the milestones still pending, then the done event, and
-        drops the flow's references to those events: each event holds
-        the flow as its value, so keeping them would make the flow
-        cyclic garbage.
+        drops the flow's references to the done event and the milestone
+        targets: an event holds the flow as its value, so keeping them
+        would make the flow cyclic garbage.
         """
         flow.remaining = 0.0
         if flow.milestones:
@@ -490,7 +495,7 @@ class FlowNetwork:
         # Python frame.
         wake = functools.partial(self._on_timer, self._timer_token)
         if wait <= 0.0:
-            sim._ripe.append((next(sim._sequence), wake))
+            sim._ripe.append(wake)
         else:
             now = sim._now
             if now + wait <= now:
@@ -501,7 +506,7 @@ class FlowNetwork:
                 # wait, and spins forever — clamp to one ulp so time,
                 # and therefore settled progress, actually advances.
                 wait = math.ulp(now)
-            sim._schedule_callback(wake, wait)
+            sim._schedule_at(now + wait, wake)
 
     def _component_of(self, seeds: typing.Iterable[Flow]) -> set[Flow]:
         """Active flows connected to *seeds* through chains of shared links.

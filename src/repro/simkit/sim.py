@@ -8,14 +8,24 @@ raise inside the process, so simulated errors propagate like ordinary
 exceptions.
 
 Scheduling uses two queues that together behave as one priority queue
-ordered by ``(time, sequence)``: a heap for future actions, and a FIFO
-deque for actions at the *current* instant (event dispatches and
-zero-delay callbacks).  Same-instant dispatch is the hottest operation in
-the kernel — every event trigger lands here — and a deque append is far
-cheaper than a heap sift while preserving the exact same global order,
-because same-instant entries always carry fresh (larger) sequence
-numbers.  One loop, :meth:`Simulator._run`, drains both queues for every
-form of :meth:`Simulator.run`.
+ordered by ``(time, sequence)``: a heap of ``(at, sequence, action)``
+entries for *future* instants only, and a FIFO deque of bare callables
+due at the *current* instant.  Everything scheduled at ``now`` — event
+dispatches, zero delays, positive delays too small to move the clock
+(``now + delay == now``), ``timeout_at``/``call_at`` at ``now`` — is
+appended to the deque.  When the deque runs dry the clock advances to
+the heap's head, and every heap entry due at that new instant moves onto
+the deque in sequence order before any of them runs.  Those entries were
+all scheduled before the clock reached the instant, so they precede
+everything scheduled at it: FIFO order on the deque *is* sequence order,
+and no action needs a sequence number once it is due.  One loop,
+:meth:`Simulator._run`, drains both queues for every form of
+:meth:`Simulator.run`.
+
+A process that fails while nothing waits on it (its done event has no
+callback) raises its exception out of :meth:`Simulator.run`, so an error
+in a fire-and-forget process cannot vanish; a waiting process (or
+``all_of``/``any_of``) still receives the failure.
 """
 
 from __future__ import annotations
@@ -61,7 +71,7 @@ class Process:
         self._waiting_on: Event | None = None
         #: Event triggered with the generator's return value when it ends.
         self.done = Event(sim, name=f"{self.name}.done")
-        sim._schedule_callback(lambda: self._resume(None, None))
+        sim._ripe.append(lambda: self._resume(None, None))
 
     @property
     def is_alive(self) -> bool:
@@ -75,7 +85,7 @@ class Process:
         """
         if not self.is_alive:
             raise RuntimeError(f"cannot interrupt finished process {self.name}")
-        self.sim._schedule_callback(
+        self.sim._ripe.append(
             lambda: self._resume(None, Interrupt(cause), forced=True))
 
     # -- driving the generator ---------------------------------------------
@@ -100,20 +110,20 @@ class Process:
             self.done.succeed(stop.value)
             return
         except BaseException as error:  # noqa: BLE001 - simulated failure
-            self.done.fail(error)
+            self._fail(error)
             return
         if target.__class__ is Event:  # the overwhelmingly common yield
             pass
         elif isinstance(target, Process):
             target = target.done
         elif not isinstance(target, Event):
-            self.done.fail(TypeError(
+            self._fail(TypeError(
                 f"process {self.name} yielded {target!r}; expected an "
                 "Event or Process"))
             return
         self._waiting_on = target
         if target._callbacks is None:
-            self.sim._schedule_callback(lambda: self._on_event(target))
+            self.sim._ripe.append(lambda: self._on_event(target))
         else:
             target._callbacks.append(self._on_event)
 
@@ -132,7 +142,7 @@ class Process:
             self.done.succeed(stop.value)
             return
         except BaseException as error:  # noqa: BLE001 - simulated failure
-            self.done.fail(error)
+            self._fail(error)
             return
 
         if target.__class__ is Event:  # the overwhelmingly common yield
@@ -142,12 +152,21 @@ class Process:
         elif isinstance(target, Event):
             event = target
         else:
-            self.done.fail(TypeError(
+            self._fail(TypeError(
                 f"process {self.name} yielded {target!r}; expected an "
                 "Event or Process"))
             return
         self._waiting_on = event
         event.add_callback(self._on_event)
+
+    def _fail(self, error: BaseException) -> None:
+        """End the process with *error*: fail its done event, and raise
+        *error* out of the simulator run when nothing waits on it."""
+        done = self.done
+        waited = bool(done._callbacks)
+        done.fail(error)
+        if not waited:
+            raise error
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "alive" if self.is_alive else "done"
@@ -161,14 +180,12 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now = 0.0
-        #: Future (and not-yet-popped same-instant) actions: (at, seq, fn).
+        #: Future actions, (at, seq, fn) with every ``at > _now``.
         self._queue: list[tuple[float, int, typing.Callable[[], None]]] = []
-        #: Current-instant actions in FIFO order: (seq, fn).  Invariant:
-        #: every entry was appended at time == _now with a sequence number
-        #: larger than any heap entry pushed before it, and the deque is
+        #: Actions due at the current instant, in FIFO (= sequence) order;
         #: drained before the clock advances.
         self._ripe: collections.deque[
-            tuple[int, typing.Callable[[], None]]] = collections.deque()
+            typing.Callable[[], None]] = collections.deque()
         self._sequence = itertools.count()
 
     @property
@@ -182,14 +199,16 @@ class Simulator:
                            delay: float = 0.0) -> None:
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
-        if delay == 0.0:
-            self._ripe.append((next(self._sequence), action))
-        else:
-            heapq.heappush(self._queue, (
-                self._now + delay, next(self._sequence), action))
+        self._schedule_at(self._now + delay, action)
 
-    def _schedule_event_dispatch(self, event: Event) -> None:
-        self._ripe.append((next(self._sequence), event._dispatch))
+    def _schedule_at(self, at: float, action: typing.Callable[[], None]
+                     ) -> None:
+        """Queue *action* at *at* (never in the past): on the deque when
+        *at* is the current instant, on the heap otherwise."""
+        if at > self._now:
+            heapq.heappush(self._queue, (at, next(self._sequence), action))
+        else:
+            self._ripe.append(action)
 
     # -- public construction helpers ------------------------------------------
 
@@ -204,10 +223,15 @@ class Simulator:
         event = Event(self, name="timeout")
         # The bound method is the scheduled action when there is no
         # value to deliver (the common case) — no closure allocation.
-        heapq.heappush(self._queue, (
-            self._now + delay, next(self._sequence),
-            event.succeed if value is None
-            else lambda: event.succeed(value)))
+        # _schedule_at, inlined: timeouts are the hottest schedule.
+        action = (event.succeed if value is None
+                  else lambda: event.succeed(value))
+        now = self._now
+        at = now + delay
+        if at > now:
+            heapq.heappush(self._queue, (at, next(self._sequence), action))
+        else:
+            self._ripe.append(action)
         return event
 
     def timeout_at(self, at: float, value: object = None) -> Event:
@@ -221,10 +245,12 @@ class Simulator:
             raise ValueError(f"timeout_at({at!r}) is in the past "
                              f"(now={self._now!r})")
         event = Event(self, name="timeout")
-        heapq.heappush(self._queue, (
-            at, next(self._sequence),
-            event.succeed if value is None
-            else lambda: event.succeed(value)))
+        action = (event.succeed if value is None
+                  else lambda: event.succeed(value))
+        if at > self._now:
+            heapq.heappush(self._queue, (at, next(self._sequence), action))
+        else:
+            self._ripe.append(action)
         return event
 
     def call_at(self, at: float, action: typing.Callable[[], None]) -> None:
@@ -240,7 +266,7 @@ class Simulator:
         if at < self._now:
             raise ValueError(f"call_at({at!r}) is in the past "
                              f"(now={self._now!r})")
-        heapq.heappush(self._queue, (at, next(self._sequence), action))
+        self._schedule_at(at, action)
 
     def process(self, generator: ProcessGenerator, name: str = "") -> Process:
         """Start a coroutine process running from the current time."""
@@ -278,23 +304,22 @@ class Simulator:
     def _run(self, deadline: float, stop: Event | None = None) -> None:
         """Execute actions in ``(time, sequence)`` order up to *deadline*.
 
-        Ripe actions always run (they sit at the current instant); a heap
-        entry runs when it is due by *deadline*, or ahead of the ripe
-        head when it is due now with a smaller sequence number.  With
-        *stop*, the loop also ends as soon as that event triggers.
+        Due actions always run (they sit at the current instant).  When
+        none is left, the clock advances to the heap's head if it is due
+        by *deadline*: that entry runs, after every other entry due at the
+        same instant has moved onto the deque behind it.  With *stop*, the
+        loop also ends as soon as that event triggers.
         """
         queue, ripe, heappop = self._queue, self._ripe, heapq.heappop
+        popleft = ripe.popleft
         while stop is None or stop._state is _PENDING:
             if ripe:
-                # A heap entry at the current instant with a smaller
-                # sequence number predates the deque head: run it first.
-                if queue and queue[0][0] <= self._now \
-                        and queue[0][1] < ripe[0][0]:
-                    self._now, _, action = heappop(queue)
-                else:
-                    _, action = ripe.popleft()
+                popleft()()
             elif queue and queue[0][0] <= deadline:
-                self._now, _, action = heappop(queue)
+                at, _, action = heappop(queue)
+                self._now = at
+                while queue and queue[0][0] == at:
+                    ripe.append(heappop(queue)[2])
+                action()
             else:
                 break
-            action()

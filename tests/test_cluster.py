@@ -216,6 +216,25 @@ class TestFaultTransitions:
 
 
 class TestClusterRuns:
+    def test_fault_injector_error_raises_out_of_run(self, bert):
+        """Nothing waits on the fault injector's process, so an error in
+        a fault action must end the run instead of silently stopping the
+        injector; the run's listeners are restored all the same."""
+        cluster = make_cluster(bert, audit=True)
+        m1 = cluster.machine("m1")
+
+        def explode():
+            raise RuntimeError("crash handler failed")
+
+        m1.crash = explode
+        workload = PoissonWorkload(cluster.instance_names, rate=50.0,
+                                   num_requests=120, seed=0)
+        with pytest.raises(RuntimeError, match="crash handler failed"):
+            cluster.run(workload.generate(),
+                        fault_schedule=[FaultEvent(0.5, "m1", "crash")])
+        assert cluster.sim.now == 0.5
+        assert cluster.listeners == []
+
     def test_fault_free_run_completes_everything(self, bert):
         cluster = make_cluster(bert, audit=True)
         workload = PoissonWorkload(cluster.instance_names, rate=50.0,

@@ -18,9 +18,10 @@ implementations, to the bit where the issue demands it.
   slice under every strategy and an oversubscribed fig13 point — on the
   default path and with the fast path forced off, and requires equal
   per-request timelines.
-* ``TestColdPathPins`` pins the per-request timelines of two
-  cold-start-heavy replays to committed digests, so any change to the
-  cold path's same-instant order shows up outside the benchmark too.
+* ``TestColdPathPins`` pins the per-request timelines of three
+  cold-start-heavy replays (one with GPUs failing mid-provision) to
+  committed digests, so any change to the cold path's same-instant
+  order shows up outside the benchmark too.
 """
 
 import hashlib
@@ -30,6 +31,7 @@ import random
 import pytest
 
 from repro import fastpath
+from repro.cluster import Cluster, ClusterConfig, FaultEvent
 from repro.core import DeepPlan
 from repro.core.plan import ExecMethod, Partition
 from repro.core.planner import LayerExecutionPlanner
@@ -250,23 +252,18 @@ class TestIncrementalFairShare:
         network = FlowNetwork(Simulator(), incremental=incremental)
         arm = network._arm_timer
         shortcuts = 0
-        # Recorded, not asserted in place: a flow starting inside a
-        # driver process would turn the assertion into that process's
-        # failure, which nothing waits on.
-        mismatches: list[tuple[float, float, float]] = []
 
         def checked_arm(wait=None) -> None:
             nonlocal shortcuts
             if wait is not None:
                 shortcuts += 1
-                scanned = network._scan_wait()
-                if wait != scanned:
-                    mismatches.append((network.sim.now, wait, scanned))
+                # Raised inside an unwaited driver process, a failure
+                # still ends the run (and the test).
+                assert wait == network._scan_wait(), network.sim.now
             arm(wait)
 
         network._arm_timer = checked_arm
         _run_traffic(network, flow_seed, milestones=True)
-        assert mismatches == [], "(time, armed wait, full scan's wait)"
         assert (shortcuts > 0) == incremental
 
 
@@ -425,9 +422,11 @@ class TestColdPathPins:
     A cold start runs the load stream, the secondary's load-and-forward
     pipeline, per-layer readiness and the flow engine's wake-ups at
     shared instants; reordering any of them moves some request's start
-    or finish by at least an ulp.  The digests were captured before the
-    load streams became event callbacks, and no change that keeps
-    outputs bit-identical may move them.
+    or finish by at least an ulp.  The first two digests were captured
+    before the load streams became event callbacks, the third before
+    the execution stream ran through landed layers and milestones
+    called their targets; no change that keeps outputs bit-identical
+    may move them.
     """
 
     def _replay(self, catalog, rate: float, count: int, seed: int):
@@ -459,3 +458,28 @@ class TestColdPathPins:
              ("roberta-large", 24)), 20.0, 300, 7)
         assert _timeline_digest(report) == (
             "0c30cab0c96349f757f7bd6ff16ee86bbcc68b40801f663de926353043bc3a96")
+
+    def test_peer_gpu_faults_mid_provision(self):
+        """GPUs fail and recover every 0.5 s under a one-machine cluster
+        that watches device faults: provisions abort on an ``Interrupt``
+        thrown into the execution stream mid-wait, and the retries and
+        degraded fallbacks that follow replay the same timelines."""
+        cluster = Cluster(p3_8xlarge(), ClusterConfig(
+            num_machines=1, replication=1, prewarm=False,
+            strategy="pt+dha"))
+        names = cluster.deploy([(build_model("bert-large"), 24),
+                                (build_model("roberta-large"), 12)])
+        faults = []
+        for k in range(15):
+            faults.append(FaultEvent(0.2 + k * 0.5, "m0", "gpu_fail",
+                                     gpu=k % 4))
+            faults.append(FaultEvent(0.4 + k * 0.5, "m0", "gpu_recover",
+                                     gpu=k % 4))
+        report = cluster.run(
+            PoissonWorkload(names, rate=20.0, num_requests=160,
+                            seed=7).generate(),
+            fault_schedule=faults)
+        assert report.completed == 160
+        assert report.aborted_provisions > report.degraded_cold_starts > 0
+        assert _timeline_digest(report) == (
+            "f307250574389c739e54c30e56c4487723125b0d47d65943f948251ea0f30d3f")

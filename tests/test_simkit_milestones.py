@@ -168,3 +168,67 @@ def test_milestone_times_match_serial_copies_property(sizes, bandwidth):
     for i, size in enumerate(sizes):
         cumulative += size / bandwidth
         assert times[i] == pytest.approx(cumulative, rel=1e-9, abs=1e-9)
+
+
+class TestMilestoneTargets:
+    """A callable milestone target is the one mechanism under milestone
+    events: ``transfer_with_milestones`` passes each event's ``succeed``.
+    """
+
+    @staticmethod
+    def _contended_schedule(use_events: bool) -> list[tuple[str, float]]:
+        """A 1,000-byte milestone flow on a 100 B/s link, sharing it from
+        t=1 to t=5 with a 200-byte flow that ends on the second crossing;
+        unrelated callbacks land on crossing instants."""
+        sim = Simulator()
+        network, link = network_with_link(sim)
+        order: list[tuple[str, float]] = []
+        offsets = [100.0, 300.0, 600.0, 1000.0]
+        if use_events:
+            done, events = network.transfer_with_milestones(
+                [link], 1000.0, offsets)
+            for i, event in enumerate(events):
+                event.add_callback(
+                    lambda e, i=i: order.append((f"m{i}", sim.now)))
+        else:
+            def target(i):
+                # Queue the record where an event's dispatch would run.
+                return lambda flow: sim._ripe.append(
+                    lambda: order.append((f"m{i}", sim.now)))
+
+            done = network.transfer(
+                [link], 1000.0,
+                milestones=[(offset, target(i))
+                            for i, offset in enumerate(offsets)])
+        done.add_callback(lambda e: order.append(("done", sim.now)))
+
+        def join():
+            network.transfer([link], 200.0).add_callback(
+                lambda e: order.append(("other done", sim.now)))
+
+        sim.call_at(1.0, join)
+        for at in (5.0, 8.0):
+            sim.call_at(at, lambda: order.append(("unrelated", sim.now)))
+        sim.run()
+        return order
+
+    def test_callable_targets_match_milestone_events(self):
+        with_targets = self._contended_schedule(use_events=False)
+        assert with_targets == self._contended_schedule(use_events=True)
+        assert [entry for entry in with_targets
+                if entry[0].startswith("m")] == [
+            ("m0", 1.0), ("m1", 5.0), ("m2", 8.0), ("m3", 12.0)]
+        # The unrelated callbacks were registered first, so they run
+        # before the wake-up that crosses the milestone at their instant.
+        assert with_targets.index(("unrelated", 5.0)) \
+            < with_targets.index(("m1", 5.0))
+
+    def test_target_called_with_the_flow_at_the_crossing(self, sim):
+        network, link = network_with_link(sim)
+        seen = []
+        network.transfer(
+            [link], 500.0,
+            milestones=[(250.0, lambda flow: seen.append(
+                (sim.now, flow.nbytes - flow.remaining)))])
+        sim.run()
+        assert seen == [(2.5, 250.0)]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simkit import Interrupt, Simulator
+from repro.simkit import Interrupt, Simulator, all_of
 
 
 @pytest.fixture
@@ -75,6 +75,52 @@ class TestProcess:
         process = sim.process(worker())
         with pytest.raises(KeyError):
             sim.run(process.done)
+
+    def test_unwaited_failure_raises_out_of_run(self, sim):
+        """A process nobody waits on cannot fail silently: its exception
+        ends the run at the failing instant."""
+        later = []
+
+        def worker():
+            yield sim.timeout(1.0)
+            raise KeyError("lost")
+
+        process = sim.process(worker())
+        sim.call_at(2.0, lambda: later.append(sim.now))
+        with pytest.raises(KeyError, match="lost"):
+            sim.run()
+        assert sim.now == 1.0
+        assert process.done.failed
+        assert later == []
+
+    def test_unwaited_bad_yield_raises_out_of_run(self, sim):
+        def worker():
+            yield "not an event"
+
+        sim.process(worker())
+        with pytest.raises(TypeError, match="expected an Event"):
+            sim.run()
+
+    def test_waited_failure_goes_to_the_waiter(self, sim):
+        """With a waiter the failure is delivered, not raised: a parent
+        process and an ``all_of`` both receive it."""
+
+        def child():
+            yield sim.timeout(1.0)
+            raise ValueError("child")
+
+        def parent():
+            try:
+                yield sim.process(child())
+            except ValueError as error:
+                return f"caught {error}"
+
+        combined = all_of(sim, [sim.process(child()).done])
+        outcome = sim.process(parent())
+        sim.run()
+        assert outcome.done.value == "caught child"
+        assert combined.failed
+        assert isinstance(combined.value, ValueError)
 
     def test_yield_of_non_event_fails_process(self, sim):
         def worker():
@@ -180,6 +226,65 @@ class TestOrdering:
         sim.call_at(1.0, lambda: order.append("second"))
         sim.run()
         assert order == ["first", "second", "ripe"]
+
+    def test_same_instant_schedules_run_fifo(self, sim):
+        """A positive delay that rounds to ``now``, ``timeout(0)``,
+        ``timeout_at(now)`` and ``call_at(now)`` each take a same-instant
+        slot in scheduling order, interleaved with zero-delay callbacks;
+        a timeout's callbacks run from its event's dispatch slot, queued
+        when the timeout fires."""
+        order = []
+
+        def at_one():
+            assert sim.now + 1e-300 == sim.now
+            sim._schedule_callback(lambda: order.append("ripe-1"))
+            sim._schedule_callback(lambda: order.append("sub-ulp"), 1e-300)
+            sim.timeout(0).add_callback(
+                lambda event: order.append("timeout(0)"))
+            sim.timeout_at(sim.now).add_callback(
+                lambda event: order.append("timeout_at(now)"))
+            sim.call_at(sim.now, lambda: order.append("call_at(now)"))
+            sim.timeout(1e-300).add_callback(
+                lambda event: order.append("timeout(sub-ulp)"))
+            sim._schedule_callback(lambda: order.append("ripe-2"))
+
+        sim.call_at(1.0, at_one)
+        sim.call_at(2.0, lambda: order.append("later"))
+        sim.run(until=1.5)
+        assert sim.now == 1.5
+        assert order == ["ripe-1", "sub-ulp", "call_at(now)", "ripe-2",
+                         "timeout(0)", "timeout_at(now)", "timeout(sub-ulp)"]
+        sim.run()
+        assert order[-1] == "later"
+
+    def test_due_heap_entries_run_before_same_instant_schedules(self, sim):
+        """Every entry already due at a new instant runs before anything
+        scheduled at that instant: a zero delay, ``call_at(now)``, an
+        event dispatch or a new process's first step."""
+        order = []
+        ready = sim.event()
+        ready.add_callback(lambda event: order.append("dispatch"))
+
+        def first():
+            order.append("first")
+            sim._schedule_callback(lambda: order.append("zero delay"))
+            sim.call_at(sim.now, lambda: order.append("call_at(now)"))
+            ready.succeed()
+
+            def child():
+                order.append("process")
+                yield sim.timeout(0)
+
+            sim.process(child())
+
+        sim.call_at(3.0, first)
+        # Fires in its due slot, between "first" and "third", so its
+        # callback's dispatch queues after what "first" scheduled.
+        sim.timeout(3.0).add_callback(lambda event: order.append("timeout"))
+        sim.call_at(3.0, lambda: order.append("third"))
+        sim.run()
+        assert order == ["first", "third", "zero delay", "call_at(now)",
+                         "dispatch", "process", "timeout"]
 
     def test_run_until_event_drains_same_instant_actions(self, sim):
         stop = sim.event()
