@@ -277,14 +277,6 @@ class Cluster(OutcomeListener):
     def retries(self) -> int:
         return self.ledger.retries
 
-    @property
-    def servers(self) -> list[InferenceServer]:
-        return [cm.server for cm in self.machines]
-
-    def active_machines(self) -> list[ClusterMachine]:
-        return [cm for cm in self.machines
-                if cm.state is MachineState.ACTIVE]
-
     def machine(self, name: str) -> ClusterMachine:
         try:
             return self._by_name[name]

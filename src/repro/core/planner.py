@@ -157,8 +157,3 @@ class LayerExecutionPlanner:
     def _timeline(self, decisions: typing.Sequence[ExecMethod]) -> Timeline:
         return compute_timeline(self.costs, decisions, self.partitions,
                                 self.nvlink_time)
-
-    def predicted_timeline(
-            self, decisions: typing.Sequence[ExecMethod]) -> Timeline:
-        """Public timeline view for a finished decision vector."""
-        return self._timeline(decisions)

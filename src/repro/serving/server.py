@@ -163,8 +163,7 @@ class Driver(OutcomeListener):
     The one request loop behind :meth:`InferenceServer.run`,
     :meth:`Cluster.run <repro.cluster.cluster.Cluster.run>` and
     :meth:`LoadGen.run <repro.loadgen.driver.LoadGen.run>`.  The *target*
-    offers ``sim``, ``instance_names``, ``listeners``, ``servers`` and
-    ``submit()``.
+    offers ``sim``, ``instance_names``, ``listeners`` and ``submit()``.
 
     *requests* (any iterable, consumed lazily in order) are sent each at
     its intended arrival, ``arrival_time`` after the instant :meth:`run`
@@ -221,17 +220,14 @@ class Driver(OutcomeListener):
         """Send every request; return once each one is terminal.
 
         For the run, *listeners* and then the driver join the target's
-        ``listeners``, and every server's ``failure_event`` points at the
-        run's end, so a worker's exception is raised here.  Both are
-        restored afterwards, also when the run raises.
+        ``listeners``; they leave again afterwards, also when the run
+        raises.  An exception in a server worker or in the sending loop
+        (a bad request, a rejected ``submit()``) raises out of the
+        simulator run, and so out of here.
         """
         target = self.target
         sim = target.sim
         subscribed = [*listeners, self]
-        servers = target.servers
-        saved = [server.failure_event for server in servers]
-        for server in servers:
-            server.failure_event = self._done
         target.listeners.extend(subscribed)
         try:
             sim.process(self._send(sim.now), name="arrivals")
@@ -239,37 +235,28 @@ class Driver(OutcomeListener):
         finally:
             for listener in subscribed:
                 target.listeners.remove(listener)
-            for server, event in zip(servers, saved):
-                server.failure_event = event
 
     def _send(self, base: float) -> typing.Generator[Event, object, None]:
         sim = self.target.sim
-        try:
-            for request in self._requests:
-                due = base + request.arrival_time
-                if due > sim.now:
-                    yield sim.timeout(due - sim.now)
-                if self._clients is None:
-                    # The absolute intended arrival: arrival_time is
-                    # relative to the run's start, so latency stays right
-                    # when run() begins at sim.now > 0.
-                    request.submitted_at = due
-                else:
-                    # Wait for a free connection.  Intended arrivals that
-                    # pass meanwhile are sent late: the coordinated
-                    # omission the open loop avoids.
-                    while self._in_flight() >= self._clients:
-                        self._slot = sim.event(name="client-slot")
-                        yield self._slot
-                        self._slot = None
-                self.submitted += 1
-                self.target.submit(request)
-        except Exception as error:
-            # A bad request or a rejected submit() ends the run with the
-            # error instead of leaving it waiting for outcomes.
-            if not self._done.triggered:
-                self._done.fail(error)
-            return
+        for request in self._requests:
+            due = base + request.arrival_time
+            if due > sim.now:
+                yield sim.timeout(due - sim.now)
+            if self._clients is None:
+                # The absolute intended arrival: arrival_time is
+                # relative to the run's start, so latency stays right
+                # when run() begins at sim.now > 0.
+                request.submitted_at = due
+            else:
+                # Wait for a free connection.  Intended arrivals that
+                # pass meanwhile are sent late: the coordinated
+                # omission the open loop avoids.
+                while self._in_flight() >= self._clients:
+                    self._slot = sim.event(name="client-slot")
+                    yield self._slot
+                    self._slot = None
+            self.submitted += 1
+            self.target.submit(request)
         self._sent_all = True
         self._maybe_finish()
 
@@ -360,9 +347,6 @@ class InferenceServer:
         #: deadline is configured (the admission-control signal).
         self._backlog = {gpu.index: 0.0 for gpu in machine.gpus}
         self._backlog_charge: dict[int, tuple[int, float]] = {}
-        #: Where worker exceptions surface (a :class:`Driver` points this
-        #: at the event its run waits on).
-        self.failure_event: Event | None = None
         #: Accumulated GPU busy time and completions across the server's
         #: lifetime (utilization accounting for cluster reports).
         self.busy_time = 0.0
@@ -457,11 +441,6 @@ class InferenceServer:
     @property
     def instance_names(self) -> list[str]:
         return list(self._instances)
-
-    @property
-    def servers(self) -> list["InferenceServer"]:
-        """This server, as the one-element fleet a :class:`Driver` sees."""
-        return [self]
 
     def warm_capacity(self) -> int:
         """How many deployed instances fit resident simultaneously."""
@@ -811,95 +790,87 @@ class InferenceServer:
                 # before handle_gpu_failure() drained it.
                 self._orphan(request)
                 continue
-            try:
-                instance = self._instances[request.instance_name]
-                epoch = self._epoch
-                gpu_epoch = self._gpu_epochs[gpu_index]
-                self._active[gpu_index] = request
-                request.started_at = started = sim.now
-                cold = instance not in cache
-                request.cold_start = cold
-                degraded = False
-                if cold and self.watch_device_faults:
-                    outcome = yield from self._provision_cold(
-                        gpu_index, instance, request)
-                    if outcome == "orphaned":
-                        # The home GPU died mid-provision;
-                        # handle_gpu_failure() already orphaned the
-                        # request and popped it from _active.
-                        continue
-                    degraded = outcome == "degraded"
-                elif cold:
-                    cache.admit(instance)
-                    secondaries = self._cold_start_secondaries(instance)
-                    yield from plan_generator(
-                        self.machine, self.planner.cost_model, instance.plan,
-                        gpu_index, secondaries,
-                        detailed_traces=self.config.detailed_traces)
-                elif self.config.detailed_traces:
-                    cache.touch(instance)
-                    yield from warm_generator(
-                        self.machine, self.planner.cost_model,
-                        instance.current_plan, gpu_index, coalesced=False)
-                else:
-                    # Warm hits dominate a serving run; the coalesced warm
-                    # loop lives here directly (the arithmetic of
-                    # _PlanRunner._run_dha_layer, precomputed into
-                    # segments) so each of its events resumes exactly one
-                    # generator frame.  current_plan is the primary plan
-                    # object itself unless the instance is resident under
-                    # its degraded fallback.
-                    cache.touch(instance)
-                    for kind, value in warm_segments(instance.current_plan,
-                                                     self.planner.cost_model):
-                        if kind == "exec":
-                            yield sim.timeout(value)
-                            continue
-                        traffic, max_rate, compute, tail, extra = value
-                        compute_end = sim.now + compute
-                        if traffic > 0:
-                            yield network.transfer(pcie_path, traffic,
-                                                   max_rate=max_rate)
-                        resumed = sim.now
-                        if resumed < compute_end:
-                            resumed = compute_end
-                        yield sim.timeout_at(resumed + tail + extra)
-                if (epoch != self._epoch
-                        or gpu_epoch != self._gpu_epochs[gpu_index]):
-                    # The machine (or this GPU) crashed mid-execution.
-                    # The simulated work ran to completion (its events
-                    # were already in flight), but the result is lost:
-                    # fail_over()/handle_gpu_failure() already orphaned
-                    # this request, so record nothing and notify no one.
+            instance = self._instances[request.instance_name]
+            epoch = self._epoch
+            gpu_epoch = self._gpu_epochs[gpu_index]
+            self._active[gpu_index] = request
+            request.started_at = started = sim.now
+            cold = instance not in cache
+            request.cold_start = cold
+            degraded = False
+            if cold and self.watch_device_faults:
+                outcome = yield from self._provision_cold(
+                    gpu_index, instance, request)
+                if outcome == "orphaned":
+                    # The home GPU died mid-provision;
+                    # handle_gpu_failure() already orphaned the
+                    # request and popped it from _active.
                     continue
-                self._active.pop(gpu_index, None)
-                request.finished_at = sim.now
-                self.busy_time += sim.now - started
-                self.requests_served += 1
-                record = RequestRecord(
-                    request_id=request.request_id,
-                    instance_name=request.instance_name,
-                    arrival_time=request.arrival_time,
-                    submitted_at=typing.cast(float, request.submitted_at),
-                    started_at=request.started_at,
-                    finished_at=request.finished_at,
-                    cold_start=cold,
-                    degraded=degraded,
-                    qos=request.qos,
-                )
-                self.metrics.record(record)
-                self._outstanding -= 1
-                self._settle_backlog(request)
-                for listener in self.listeners:
-                    listener.request_completed(self, request, record)
-                self._maybe_finish_drain()
-            except Exception as error:
-                # Surface worker failures to whoever is driving the
-                # simulation instead of letting it hang.
-                if (self.failure_event is not None
-                        and not self.failure_event.triggered):
-                    self.failure_event.fail(error)
-                raise
+                degraded = outcome == "degraded"
+            elif cold:
+                cache.admit(instance)
+                secondaries = self._cold_start_secondaries(instance)
+                yield from plan_generator(
+                    self.machine, self.planner.cost_model, instance.plan,
+                    gpu_index, secondaries,
+                    detailed_traces=self.config.detailed_traces)
+            elif self.config.detailed_traces:
+                cache.touch(instance)
+                yield from warm_generator(
+                    self.machine, self.planner.cost_model,
+                    instance.current_plan, gpu_index, coalesced=False)
+            else:
+                # Warm hits dominate a serving run; the coalesced warm
+                # loop lives here directly (the arithmetic of
+                # _PlanRunner._run_dha_layer, precomputed into
+                # segments) so each of its events resumes exactly one
+                # generator frame.  current_plan is the primary plan
+                # object itself unless the instance is resident under
+                # its degraded fallback.
+                cache.touch(instance)
+                for kind, value in warm_segments(instance.current_plan,
+                                                 self.planner.cost_model):
+                    if kind == "exec":
+                        yield sim.timeout(value)
+                        continue
+                    traffic, max_rate, compute, tail, extra = value
+                    compute_end = sim.now + compute
+                    if traffic > 0:
+                        yield network.transfer(pcie_path, traffic,
+                                               max_rate=max_rate)
+                    resumed = sim.now
+                    if resumed < compute_end:
+                        resumed = compute_end
+                    yield sim.timeout_at(resumed + tail + extra)
+            if (epoch != self._epoch
+                    or gpu_epoch != self._gpu_epochs[gpu_index]):
+                # The machine (or this GPU) crashed mid-execution.
+                # The simulated work ran to completion (its events
+                # were already in flight), but the result is lost:
+                # fail_over()/handle_gpu_failure() already orphaned
+                # this request, so record nothing and notify no one.
+                continue
+            self._active.pop(gpu_index, None)
+            request.finished_at = sim.now
+            self.busy_time += sim.now - started
+            self.requests_served += 1
+            record = RequestRecord(
+                request_id=request.request_id,
+                instance_name=request.instance_name,
+                arrival_time=request.arrival_time,
+                submitted_at=typing.cast(float, request.submitted_at),
+                started_at=request.started_at,
+                finished_at=request.finished_at,
+                cold_start=cold,
+                degraded=degraded,
+                qos=request.qos,
+            )
+            self.metrics.record(record)
+            self._outstanding -= 1
+            self._settle_backlog(request)
+            for listener in self.listeners:
+                listener.request_completed(self, request, record)
+            self._maybe_finish_drain()
 
     def _cold_start_secondaries(self, instance: ModelInstance) -> list[int]:
         needed = instance.plan.num_partitions - 1

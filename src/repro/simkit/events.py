@@ -64,8 +64,8 @@ class Event:
 
     def succeed(self, value: object = None) -> "Event":
         """Trigger the event successfully, delivering *value* to waiters."""
-        # _trigger, inlined: this runs once per successful event, which
-        # is nearly every action the simulator executes.
+        # Nearly every action the simulator executes triggers an event
+        # here, so this stays a flat body with no helper call.
         if self._state is not _PENDING:
             raise RuntimeError(f"event {self!r} already triggered")
         self._state = _SUCCEEDED
@@ -77,15 +77,12 @@ class Event:
         """Trigger the event with an exception raised into each waiter."""
         if not isinstance(exception, BaseException):
             raise TypeError(f"fail() needs an exception, got {exception!r}")
-        self._trigger(_FAILED, exception)
-        return self
-
-    def _trigger(self, state: str, value: object) -> None:
-        if self._state != _PENDING:
+        if self._state is not _PENDING:
             raise RuntimeError(f"event {self!r} already triggered")
-        self._state = state
-        self._value = value
+        self._state = _FAILED
+        self._value = exception
         self.sim._ripe.append(self._dispatch)
+        return self
 
     def _dispatch(self) -> None:
         """Run callbacks; invoked by the simulator at the trigger time."""

@@ -234,27 +234,6 @@ class FlowNetwork:
             self._start(flow)
         return done
 
-    def transfer_with_milestones(
-            self, path: typing.Sequence[Link], nbytes: float,
-            milestone_offsets: typing.Sequence[float],
-            setup_delay: float = 0.0, max_rate: float | None = None,
-            weight: float = 1.0) -> tuple[Event, list[Event]]:
-        """Like :meth:`transfer`, with progress-milestone events.
-
-        Each offset in *milestone_offsets* (bytes, ascending) yields an
-        event that fires when the flow's cumulative progress crosses it —
-        the idiom for a load stream of back-to-back layer copies: one
-        flow, one event per layer boundary.  Each event's ``succeed`` is
-        its milestone's target.
-        """
-        events = [Event(self.sim, name="flow.milestone")
-                  for _ in milestone_offsets]
-        done = self.transfer(
-            path, nbytes, setup_delay, max_rate, weight,
-            [(offset, event.succeed)
-             for offset, event in zip(milestone_offsets, events)])
-        return done, events
-
     @property
     def active_flows(self) -> frozenset[Flow]:
         return frozenset(self._active)

@@ -19,6 +19,7 @@ from repro.serving import (
 from repro.simkit import Simulator
 from tests.test_fastpath_differential import RateEventChecker
 from tests.test_simkit_links import flow_cycles
+from tests.test_simkit_milestones import transfer_with_milestones
 
 
 @pytest.fixture(scope="module")
@@ -150,8 +151,8 @@ class TestMachineAuditor:
                 nbytes = rng.uniform(1e3, 5e6)
                 offsets = sorted(rng.uniform(0.0, nbytes)
                                  for _ in range(rng.randrange(4)))
-                done, milestones = machine.network.transfer_with_milestones(
-                    path, nbytes, offsets,
+                done, milestones = transfer_with_milestones(
+                    machine.network, path, nbytes, offsets,
                     setup_delay=rng.uniform(0.0, 0.01),
                     max_rate=rng.choice([None, None, 2e9, 8e9]),
                     weight=rng.choice([0.5, 1.0, 1.0, 2.0]))

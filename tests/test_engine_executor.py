@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import DeepPlan, Strategy
-from repro.engine import execute_plan, execute_warm
+from repro.engine import execute_plan, execute_warm, executor
 from repro.errors import OutOfGPUMemoryError
 from repro.hw.machine import Machine
 from repro.hw.specs import p3_8xlarge
@@ -194,6 +194,68 @@ class TestCoalescedFastPath:
             assert fast_result.layer_traces == []
 
 
+class TestLoadStreamStepOrder:
+    """Pins where a load stream's step runs among same-instant actions.
+
+    A milestone crossing queues the stream's step at the back of the
+    current instant, where a per-layer ready event's dispatch would go:
+    an action queued at that instant before the crossing's wake-up ran
+    goes first.  The paper's execution stream blocks on the per-layer
+    event of the layer it needs next, and that event fires in the same
+    place.
+    """
+
+    @staticmethod
+    def _cold_start(planner, monkeypatch, on_crossing):
+        """A bert-large PT+DHA cold start on the coalesced path, with
+        *on_crossing(stream, k)* called after the secondary's crossing
+        *k* is queued."""
+        plan = planner.plan(build_model("bert-large"), Strategy.PT_DHA)
+        secondaries = planner.secondary_gpus(0, plan)
+        assert secondaries
+        crossed = executor._LoadStream._crossed
+
+        def spy(stream, flow):
+            crossed(stream, flow)
+            if stream.partition:
+                on_crossing(stream, stream.crossed - 1)
+
+        machine = fresh_machine()
+        with monkeypatch.context() as patch:
+            patch.setattr(executor._LoadStream, "_crossed", spy)
+            run(machine, execute_plan(machine, planner.cost_model, plan, 0,
+                                      secondaries, detailed_traces=False))
+
+    def test_step_runs_after_actions_queued_before_its_crossing(
+            self, planner, monkeypatch):
+        instants: list[float] = []
+        self._cold_start(planner, monkeypatch,
+                         lambda stream, k: instants.append(
+                             stream.runner.sim.now))
+        assert len(instants) > 100
+        assert instants == sorted(set(instants))  # one crossing per instant
+
+        seen: list[tuple[int, int]] = []
+
+        def on_crossing(stream, k):
+            if k + 1 == len(instants):
+                return
+            sim = stream.runner.sim
+
+            def probe():
+                seen.append((k + 1, stream.stepped))
+
+            # A same-instant action that queues the probe after the
+            # wake-up for crossing k + 1 was armed.
+            sim.call_at(sim.now,
+                        lambda: sim.call_at(instants[k + 1], probe))
+
+        self._cold_start(planner, monkeypatch, on_crossing)
+        assert len(seen) == len(instants) - 1
+        # Each probe runs before step k + 1: steps 0..k ran, k + 1 not.
+        assert [stepped for _, stepped in seen] == [k for k, _ in seen]
+
+
 class TestSegmentCache:
     """The coalesced-segment cache must not keep dead plans alive."""
 
@@ -208,8 +270,6 @@ class TestSegmentCache:
         assert times[0] == pytest.approx(times[1], rel=1e-12)
 
     def test_repeat_executions_reuse_cached_segments(self, planner, bert):
-        from repro.engine import executor
-
         plan = planner.plan(bert, Strategy.PT_DHA)
         machine = fresh_machine()
         run(machine, execute_warm(machine, planner.cost_model, plan, 0))
@@ -221,8 +281,6 @@ class TestSegmentCache:
             self, planner, bert):
         import gc
         import weakref
-
-        from repro.engine import executor
 
         plan = planner.plan(bert, Strategy.PT_DHA)
         machine = fresh_machine()

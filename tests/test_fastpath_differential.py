@@ -50,6 +50,7 @@ from repro.serving import (
     synthesize_maf_trace,
 )
 from repro.simkit import FlowNetwork, Link, Simulator
+from tests.test_simkit_milestones import transfer_with_milestones
 
 REL_TOL = 1e-9
 
@@ -138,8 +139,9 @@ def _driver(sim: Simulator, network: FlowNetwork, links: list[Link],
         if milestones:
             offsets = sorted(rng.uniform(0.0, nbytes)
                              for _ in range(rng.randrange(4)))
-            done, _ = network.transfer_with_milestones(
-                path, nbytes, offsets, max_rate=max_rate, weight=weight)
+            done, _ = transfer_with_milestones(
+                network, path, nbytes, offsets, max_rate=max_rate,
+                weight=weight)
         else:
             done = network.transfer(path, nbytes, max_rate=max_rate,
                                     weight=weight)
@@ -236,8 +238,8 @@ class TestIncrementalFairShare:
                 events.append(tuple(flows))
 
         network.observer = Recorder()
-        done, milestones = network.transfer_with_milestones(
-            [Link("lane", 1e9)], 4e6, [1e6, 2e6, 3e6])
+        done, milestones = transfer_with_milestones(
+            network, [Link("lane", 1e9)], 4e6, [1e6, 2e6, 3e6])
         sim.run()
         assert all(event.triggered for event in milestones)
         flow = done.value

@@ -254,8 +254,7 @@ class TestOpenLoopDriver:
             LoadGen(server, traffic, LoadGenConfig(duration=2.0)).run()
 
     def test_failed_run_leaves_listeners_unchanged(self, planner):
-        """A run that raises still unsubscribes the generator and puts
-        the server's failure slot back."""
+        """A run that raises still unsubscribes the generator."""
         server = make_server(planner)
         existing = OutcomeListener()
         server.listeners.append(existing)
@@ -264,7 +263,6 @@ class TestOpenLoopDriver:
         with pytest.raises(WorkloadError, match="unknown instance"):
             LoadGen(server, traffic, LoadGenConfig(duration=2.0)).run()
         assert server.listeners == [existing]
-        assert server.failure_event is None
 
     def test_config_validation(self):
         with pytest.raises(WorkloadError):
@@ -439,8 +437,7 @@ class TestEntryPoints:
     @pytest.mark.parametrize("raises", [False, True],
                              ids=["normal", "worker-raises"])
     @pytest.mark.parametrize("entry", ["server", "cluster", "loadgen"])
-    def test_run_restores_listeners_and_failure_slots(self, planner, entry,
-                                                      raises):
+    def test_run_restores_listeners(self, planner, entry, raises):
         if entry == "server":
             target = make_server(planner)
             servers = [target]
@@ -458,9 +455,6 @@ class TestEntryPoints:
         existing = OutcomeListener()
         target.listeners.append(existing)
         server_listeners = [list(server.listeners) for server in servers]
-        slot = target.sim.event(name="caller-failure-slot")
-        for server in servers:
-            server.failure_event = slot
         if raises:
             def explode(*args, **kwargs):
                 raise RuntimeError("injected fault")
@@ -473,7 +467,6 @@ class TestEntryPoints:
             run()
         assert target.listeners == [existing]
         assert [server.listeners for server in servers] == server_listeners
-        assert all(server.failure_event is slot for server in servers)
 
 
 class TestReplicaDraw:

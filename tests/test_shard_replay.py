@@ -20,6 +20,9 @@ from repro.hw.specs import p3_8xlarge
 from repro.models.zoo import build_model
 from repro.serving.workload import PoissonWorkload, TraceWorkload
 from repro.shard import ShardConfig, ShardedReplay, partition_machines
+from repro.shard import replay as shard_replay
+from repro.shard.protocol import Delivery
+from repro.shard.worker import ShardWorker
 from repro.units import MS
 
 MODELS = ("resnet50", "bert-base", "resnet101")
@@ -213,6 +216,66 @@ class TestUnroutableDrops:
                 == report.ledger.completed + report.ledger.shed
                 + report.ledger.dropped)
         assert len(report.outcome_signature()) == len(requests)
+
+
+class TestInSimulationErrors:
+    """An exception inside a shard's simulation (here a server worker's
+    cache touch) raises out of the epoch that hit it, out of the final
+    drain, and out of the serial replay, with its type and message."""
+
+    @staticmethod
+    def _replay():
+        config = ClusterConfig(num_machines=2, replication=2, prewarm=True,
+                               audit=True, breaker_cooldown=0.0)
+        replay = ShardedReplay(p3_8xlarge(), config,
+                               ShardConfig(num_shards=2, backend="serial"))
+        replay.deploy([("bert-base", 1)])
+        return replay
+
+    @staticmethod
+    def _break(worker):
+        def explode(*args, **kwargs):
+            raise RuntimeError("injected fault")
+
+        # bert-base#0 is prewarmed: every hit on this machine touches
+        # its home GPU's cache.
+        for cache in worker.machines[0].server._caches.values():
+            cache.touch = explode
+
+    def test_replay_raises_the_workers_error(self, monkeypatch):
+        class FaultyWorker(shard_replay.ShardWorker):
+            def __init__(self, init):
+                super().__init__(init)
+                if init.shard_id == 1:
+                    TestInSimulationErrors._break(self)
+
+        monkeypatch.setattr(shard_replay, "ShardWorker", FaultyWorker)
+        replay = self._replay()
+        requests = PoissonWorkload(replay.instance_names, rate=40.0,
+                                   num_requests=20, seed=3).generate()
+        with pytest.raises(RuntimeError, match="injected fault"):
+            replay.run(requests)
+
+    @pytest.mark.parametrize("hit_in", ["epoch", "finish"])
+    def test_worker_step_raises_the_error(self, hit_in):
+        init = self._replay()._worker_inits(())[0]
+        worker = ShardWorker(init)
+        self._break(worker)
+        horizon = 100 * MS
+        # A delivery inside the epoch hits during run_epoch; one past
+        # the horizon hits while finish() runs the shard dry.
+        delivery = Delivery(
+            request_id=0, instance_name="bert-base#0",
+            machine_name=init.machine_names[0], arrival_time=0.0,
+            submitted_at=0.0,
+            deliver_at=horizon / 2 if hit_in == "epoch" else 2 * horizon)
+        if hit_in == "epoch":
+            with pytest.raises(RuntimeError, match="injected fault"):
+                worker.run_epoch(horizon, [delivery])
+        else:
+            worker.run_epoch(horizon, [delivery])
+            with pytest.raises(RuntimeError, match="injected fault"):
+                worker.finish()
 
 
 class TestPartitioning:

@@ -14,6 +14,7 @@ from repro.hw.specs import p3_8xlarge
 from repro.models import build_model
 from repro.serving import InferenceServer, PoissonWorkload
 from repro.simkit import Event, Flow, FlowNetwork, Link, Simulator
+from tests.test_simkit_milestones import transfer_with_milestones
 
 
 @pytest.fixture
@@ -231,14 +232,14 @@ class TestRebalanceRobustness:
         with pytest.raises(ValueError, match="max_rate"):
             network.transfer([link], 500.0, max_rate=-1.0)
         with pytest.raises(ValueError, match="max_rate"):
-            network.transfer_with_milestones([link], 500.0, [100.0],
-                                             max_rate=0.0)
+            transfer_with_milestones(network, [link], 500.0, [100.0],
+                                     max_rate=0.0)
         assert not network.active_flows
 
     def test_negative_milestone_offset_is_rejected(self, sim):
         network, (link,) = make_network(sim, 100.0)
         with pytest.raises(ValueError, match="non-negative"):
-            network.transfer_with_milestones([link], 500.0, [-1.0, 100.0])
+            transfer_with_milestones(network, [link], 500.0, [-1.0, 100.0])
         assert not network.active_flows
 
     def test_rate_starved_flow_does_not_crash_rebalance(self, sim):
@@ -276,9 +277,9 @@ class TestNoCyclicGarbage:
         network, (link,) = make_network(sim, 100.0)
         with flow_cycles() as cycles:
             done = network.transfer([link], 500.0)
-            _, marks = network.transfer_with_milestones(
-                [link], 1000.0, [250.0, 1000.0], setup_delay=1.0)
-            network.transfer_with_milestones([link], 0.0, [0.0])
+            _, marks = transfer_with_milestones(
+                network, [link], 1000.0, [250.0, 1000.0], setup_delay=1.0)
+            transfer_with_milestones(network, [link], 0.0, [0.0])
             sim.run()
             assert done.triggered and all(m.triggered for m in marks)
             del done, marks

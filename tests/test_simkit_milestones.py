@@ -1,10 +1,33 @@
 """Tests for progress-milestone flows (the load-stream bulk-flow idiom)."""
 
+import typing
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simkit import FlowNetwork, Link, Simulator
+from repro.simkit import Event, FlowNetwork, Link, Simulator
+
+
+def transfer_with_milestones(
+        network: FlowNetwork, path: typing.Sequence[Link], nbytes: float,
+        milestone_offsets: typing.Sequence[float],
+        setup_delay: float = 0.0, max_rate: float | None = None,
+        weight: float = 1.0) -> tuple[Event, list[Event]]:
+    """``network.transfer`` with one progress-milestone event per offset.
+
+    Each offset in *milestone_offsets* (bytes, ascending) yields an event
+    that fires when the flow's cumulative progress crosses it: one flow,
+    one event per layer boundary.  Each event's ``succeed`` is its
+    milestone's target.
+    """
+    events = [Event(network.sim, name="flow.milestone")
+              for _ in milestone_offsets]
+    done = network.transfer(
+        path, nbytes, setup_delay, max_rate, weight,
+        [(offset, event.succeed)
+         for offset, event in zip(milestone_offsets, events)])
+    return done, events
 
 
 @pytest.fixture
@@ -19,8 +42,8 @@ def network_with_link(sim, bandwidth=100.0):
 class TestMilestones:
     def test_milestones_fire_at_byte_offsets(self, sim):
         network, link = network_with_link(sim)
-        done, events = network.transfer_with_milestones(
-            [link], 1000.0, [250.0, 500.0, 1000.0])
+        done, events = transfer_with_milestones(
+            network, [link], 1000.0, [250.0, 500.0, 1000.0])
         fired = []
         for i, event in enumerate(events):
             event.add_callback(lambda e, i=i: fired.append((i, sim.now)))
@@ -33,7 +56,7 @@ class TestMilestones:
         network, link = network_with_link(sim)
         sizes = [100.0, 300.0, 50.0]
         offsets = [100.0, 400.0, 450.0]
-        _, events = network.transfer_with_milestones([link], 450.0, offsets)
+        _, events = transfer_with_milestones(network, [link], 450.0, offsets)
         times = {}
         for i, event in enumerate(events):
             event.add_callback(lambda e, i=i: times.__setitem__(i, sim.now))
@@ -45,7 +68,7 @@ class TestMilestones:
 
     def test_milestones_respect_contention(self, sim):
         network, link = network_with_link(sim)
-        _, events = network.transfer_with_milestones([link], 1000.0, [500.0])
+        _, events = transfer_with_milestones(network, [link], 1000.0, [500.0])
         network.transfer([link], 10_000.0)  # competing flow, same link
         time = {}
         events[0].add_callback(lambda e: time.__setitem__(0, sim.now))
@@ -55,15 +78,15 @@ class TestMilestones:
 
     def test_setup_delay_shifts_milestones(self, sim):
         network, link = network_with_link(sim)
-        _, events = network.transfer_with_milestones(
-            [link], 100.0, [100.0], setup_delay=3.0)
+        _, events = transfer_with_milestones(
+            network, [link], 100.0, [100.0], setup_delay=3.0)
         sim.run()
         assert events[0].triggered
         assert sim.now == pytest.approx(4.0)
 
     def test_zero_byte_flow_fires_zero_offset_milestones(self, sim):
         network, link = network_with_link(sim)
-        done, events = network.transfer_with_milestones([link], 0.0, [0.0])
+        done, events = transfer_with_milestones(network, [link], 0.0, [0.0])
         sim.run(done)
         assert events[0].triggered
 
@@ -76,8 +99,8 @@ class TestMilestones:
         second one here never fired and its waiters hung.
         """
         network, link = network_with_link(sim)
-        done, events = network.transfer_with_milestones(
-            [link], 0.001, [0.0005, 0.0015])
+        done, events = transfer_with_milestones(
+            network, [link], 0.001, [0.0005, 0.0015])
         sim.run()
         assert done.triggered
         assert [event.triggered for event in events] == [True, True]
@@ -91,8 +114,8 @@ class TestMilestones:
         """
         network, link = network_with_link(sim)
         times = {}
-        done, events = network.transfer_with_milestones(
-            [link], 1000.0, [0.0, 500.0])
+        done, events = transfer_with_milestones(
+            network, [link], 1000.0, [0.0, 500.0])
         events[0].add_callback(lambda e: times.setdefault("zero", sim.now))
         events[1].add_callback(lambda e: times.setdefault("mid", sim.now))
         sim.run(done)
@@ -102,8 +125,8 @@ class TestMilestones:
     def test_zero_offset_milestone_respects_setup_delay(self, sim):
         network, link = network_with_link(sim)
         times = {}
-        done, events = network.transfer_with_milestones(
-            [link], 1000.0, [0.0], setup_delay=2.0)
+        done, events = transfer_with_milestones(
+            network, [link], 1000.0, [0.0], setup_delay=2.0)
         events[0].add_callback(lambda e: times.setdefault("zero", sim.now))
         sim.run(done)
         assert times["zero"] == pytest.approx(2.0)
@@ -112,8 +135,8 @@ class TestMilestones:
         """A flow joining exactly at a milestone crossing must not defer it."""
         network, link = network_with_link(sim)
         times = {}
-        done, events = network.transfer_with_milestones(
-            [link], 1000.0, [500.0])
+        done, events = transfer_with_milestones(
+            network, [link], 1000.0, [500.0])
         events[0].add_callback(lambda e: times.setdefault("mid", sim.now))
         # Joins at t=5.0, the instant the first flow's progress hits 500.
         sim._schedule_callback(
@@ -124,17 +147,17 @@ class TestMilestones:
     def test_unsorted_offsets_rejected(self, sim):
         network, link = network_with_link(sim)
         with pytest.raises(ValueError, match="ascending"):
-            network.transfer_with_milestones([link], 100.0, [50.0, 20.0])
+            transfer_with_milestones(network, [link], 100.0, [50.0, 20.0])
 
     def test_offset_beyond_size_rejected(self, sim):
         network, link = network_with_link(sim)
         with pytest.raises(ValueError, match="beyond"):
-            network.transfer_with_milestones([link], 100.0, [150.0])
+            transfer_with_milestones(network, [link], 100.0, [150.0])
 
     def test_weight_applies_to_milestone_flows(self, sim):
         network, link = network_with_link(sim)
-        _, events = network.transfer_with_milestones(
-            [link], 500.0, [500.0], weight=1.0)
+        _, events = transfer_with_milestones(
+            network, [link], 500.0, [500.0], weight=1.0)
         network.transfer([link], 10_000.0, weight=3.0)
         time = {}
         events[0].add_callback(lambda e: time.__setitem__(0, sim.now))
@@ -159,7 +182,7 @@ def test_milestone_times_match_serial_copies_property(sizes, bandwidth):
     for size in sizes:
         total += size
         offsets.append(total)
-    _, events = network.transfer_with_milestones([link], total, offsets)
+    _, events = transfer_with_milestones(network, [link], total, offsets)
     times = {}
     for i, event in enumerate(events):
         event.add_callback(lambda e, i=i: times.__setitem__(i, sim.now))
@@ -185,8 +208,8 @@ class TestMilestoneTargets:
         order: list[tuple[str, float]] = []
         offsets = [100.0, 300.0, 600.0, 1000.0]
         if use_events:
-            done, events = network.transfer_with_milestones(
-                [link], 1000.0, offsets)
+            done, events = transfer_with_milestones(
+                network, [link], 1000.0, offsets)
             for i, event in enumerate(events):
                 event.add_callback(
                     lambda e, i=i: order.append((f"m{i}", sim.now)))
